@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Run every solution-family instance over the standard parameter grid,
-verify the whole pipeline on each, and print a Bianchi-type census.
+"""Run every solution-family instance over the standard parameter grid
+through the same checks as `semidual verify`, and print a Bianchi-type
+census.
 
 Usage: python scripts/sweep_families.py [--skip-rank-one]
 """
@@ -12,14 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from semidual.bialgebra import (
-    coboundary_delta,
-    dualco_delta,
-    mcybe_check,
-    r_matrix,
-    semidual_algebra,
-)
-from semidual.bianchi import classify_m
+from semidual.cli import build_report
 from semidual.lie import so3, so21
 from semidual.solutions import standard_sweep
 
@@ -41,19 +35,16 @@ def main():
     args = parser.parse_args()
 
     e, l = so3(), so21()
-    semiduals = {id(e): semidual_algebra(e), id(l): semidual_algebra(l)}
     census = Counter()
     for inst in standard_sweep(e, l, include_rank_one=not args.skip_rank_one):
-        sd = semiduals[id(inst.algebra)]
-        r = r_matrix(inst.F)
-        mcybe_ok = mcybe_check(sd, r, inst.lam).is_zero()
-        delta_ok = dualco_delta(inst.algebra, inst.F) == coboundary_delta(sd, r)
-        cl = classify_m(inst)
+        name = "so3" if inst.algebra is e else "so21"
+        rep = build_report(name, inst.algebra, inst.F, inst.lam)
+        label = rep.classification.label if rep.classification else "-"
         expected = inst.expected_bianchi.label
-        ok = mcybe_ok and delta_ok and cl.label == expected
-        census[cl.label] += 1
+        ok = rep.passed and label == expected
+        census[label] += 1
         status = "ok" if ok else "MISMATCH"
-        print(f"{describe(inst):70s} -> {cl.label:4s} (expected {expected:4s}) {status}")
+        print(f"{describe(inst):70s} -> {label:4s} (expected {expected:4s}) {status}")
         if not ok:
             return 1
     print()

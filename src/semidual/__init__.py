@@ -49,7 +49,7 @@ from .solutions import (
     standard_sweep,
     zero_solution,
 )
-from .bianchi import BianchiType, behr_decompose, classify, classify_m
+from .bianchi import BianchiType, behr_decompose, classify
 
 __all__ = [
     "Matrix", "Tensor3", "rat", "rat_str", "vec",
@@ -63,5 +63,5 @@ __all__ = [
     "Family", "SolutionInstance", "double_solution", "generalized_kappa",
     "kappa_solution", "large_jordan", "light_jordan", "rank_one", "rho_theta",
     "small_jordan", "standard_sweep", "zero_solution",
-    "BianchiType", "behr_decompose", "classify", "classify_m",
+    "BianchiType", "behr_decompose", "classify",
 ]

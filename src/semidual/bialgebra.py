@@ -46,14 +46,14 @@ def semidual_algebra(g: LieAlgebra) -> LieAlgebra:
     return make_lie_algebra(Tensor3.build(2 * n, fn))
 
 
-def dualco_delta(g: LieAlgebra, F: Matrix) -> Tensor3:
-    """Cocommutator tensor of the semidual, from the double-cross-sum data.
+def dualco_delta(gt: Tensor3, lt: Tensor3) -> Tensor3:
+    """Cocommutator tensor of the semidual, from the double-cross-sum
+    tensors (g_ab^c, L_ab^c) of dcs_constants.
 
     Defined for any F; it is a Lie cobracket (co-Jacobi) exactly when F
     satisfies the factorisation condition.
     """
-    n = g.dim
-    gt, lt = dcs_constants(g, F)
+    n = gt.dim
 
     def fn(i, j, k):
         if i < n:
@@ -90,7 +90,7 @@ def semidualize(g: LieAlgebra, F: Matrix, lam) -> Bialgebra:
         comps = ", ".join(f"[{a},{b}]->J_{c}: {v}" for a, b, c, v in resid.nonzero()[:6])
         raise NotAFactorisation(f"factorisation condition fails at {comps}")
     alg = semidual_algebra(g)
-    delta = dualco_delta(g, F)
+    delta = dualco_delta(*dcs_constants(g, F))
     n2 = alg.dim
     for i in range(n2):
         for j in range(n2):
@@ -283,9 +283,7 @@ def mcybe_check(alg: LieAlgebra, r: RMatrix, lam) -> Tensor3:
     lam = rat(lam)
     res = schouten(alg, r) + lam * omega(alg)
     n = alg.dim // 2
-    g_block = make_lie_algebra(
-        Tensor3.build(n, lambda a, b, c: alg.f[a, b, c])
-    )
+    g_block = LieAlgebra(n, Tensor3.build(n, lambda a, b, c: alg.f[a, b, c]))
     mat = mcybe_matrix_residual(g_block, r.coeffs, lam)
     for e in range(n):
         for a in range(n):

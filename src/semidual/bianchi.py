@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .factorize import verify_closure_in_complexification
 from .lie import LieAlgebra, check_jacobi, eps, make_lie_algebra
 from .linalg import Matrix, Tensor3, adjugate_cofactor, inertia, vec
 
@@ -153,15 +152,6 @@ def classify(g: LieAlgebra) -> Classification:
         else:
             raise AssertionError("class B with invertible n contradicts Jacobi")
     return Classification(BianchiType(label, h), behr, rank, (p, mi, z), a_zero)
-
-
-def classify_m(instance) -> Classification:
-    """Classify the factor algebra m of a solution instance by running the
-    full pipeline (double-cross-sum tensors -> m algebra -> classify)."""
-    dcs = verify_closure_in_complexification(
-        instance.algebra, instance.F, instance.lam
-    )
-    return classify(dcs.m_algebra)
 
 
 def canonical_representatives() -> dict[str, LieAlgebra]:

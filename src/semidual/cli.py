@@ -84,10 +84,26 @@ def _linear_combo(terms) -> str:
 
 
 def build_report(name: str, g: LieAlgebra, F: Matrix, lam: Fraction) -> VerificationReport:
+    """Run every stage of the pipeline once on (g, F, lam).
+
+    The closure runs only when the factorisation residual vanishes; its
+    double-cross-sum tensors then also feed the cocommutator.
+    """
     checks: list[Check] = []
     fact = factorize.factorization_check(g, F, lam)
     checks.append(Check("factorisation (closure of Q')", fact.is_zero(),
                         jsonio.tensor_components(fact)))
+    dcs = None
+    if fact.is_zero():
+        try:
+            dcs = factorize.verify_closure_in_complexification(g, F, lam)
+        except factorize.ClosureFailure as exc:
+            raise factorize.InternalMismatch(
+                f"zero factorisation residual but the closure fails: {exc}"
+            ) from exc
+        gt, lt = dcs.g_tensor, dcs.l_tensor
+    else:
+        gt, lt = factorize.dcs_constants(g, F)
 
     if g.dim == 3 and g.metric is not None:
         quad = factorize.quadratic_condition(F, g, lam)
@@ -108,16 +124,13 @@ def build_report(name: str, g: LieAlgebra, F: Matrix, lam: Fraction) -> Verifica
     checks.append(Check("mCYBE [[r,r]] + lambda Omega (tensor and matrix paths)",
                         mcybe.is_zero(), jsonio.tensor_components(mcybe)))
 
-    dualco = bialgebra.dualco_delta(g, F)
-    cob = bialgebra.coboundary_delta(sd_alg, r)
-    agree = dualco - cob
+    agree = bialgebra.dualco_delta(gt, lt) - bialgebra.coboundary_delta(sd_alg, r)
     checks.append(Check("cocommutator agreement (semidual vs coboundary)",
                         agree.is_zero(), jsonio.tensor_components(agree)))
 
     m_brackets = None
     classification = None
-    if fact.is_zero():
-        dcs = factorize.verify_closure_in_complexification(g, F, lam)
+    if dcs is not None:
         nz = dcs.g_tensor.nonzero()
         m_brackets = [
             f"[Q'_{a},Q'_{b}] = " + _linear_combo(

@@ -133,23 +133,37 @@ def basis_change_matrix(F: Matrix) -> Matrix:
 def verify_closure_in_complexification(g: LieAlgebra, F: Matrix, lam) -> DoubleCrossSum:
     """Build g_lam, change basis to (J, Q'), and recompute every bracket.
 
-    The brackets computed directly in the new basis must match
+    The J-part of [Q'_a, Q'_b] in the new basis is the factorisation
+    residual; if it is nonzero the generators do not close and
+    ClosureFailure lists its first components.  Otherwise the brackets
+    computed directly in the new basis must match
     [J,J] = f J, [Q'_a, J_b] = f_ab^c Q'_c + L_ab^c J_c,
     [Q'_a, Q'_b] = g_ab^c Q'_c with the tensors from dcs_constants; a
     mismatch raises InternalMismatch (two independent code paths).
     """
-    lam = rat(lam)
-    resid = factorization_check(g, F, lam)
-    if not resid.is_zero():
-        comps = ", ".join(f"[{a},{b}]->J_{c}: {v}" for a, b, c, v in resid.nonzero()[:6])
-        raise ClosureFailure(f"factorisation condition fails; nonzero residual at {comps}")
-
+    _check_square(g, F)
     n = g.dim
     glam = lie.complexify(g, lam)
-    gt, lt = dcs_constants(g, F)
     B = basis_change_matrix(F)
     Binv = B.inverse()
     newbasis = [B.col(i) for i in range(2 * n)]
+    direct = [
+        [Binv.apply(glam.bracket(newbasis[i], newbasis[j])) for j in range(2 * n)]
+        for i in range(2 * n)
+    ]
+
+    resid = [
+        (a, b, c, v)
+        for a in range(n)
+        for b in range(n)
+        for c, v in enumerate(direct[n + a][n + b][:n])
+        if v != 0
+    ]
+    if resid:
+        comps = ", ".join(f"[{a},{b}]->J_{c}: {v}" for a, b, c, v in resid[:6])
+        raise ClosureFailure(f"factorisation condition fails; nonzero residual at {comps}")
+
+    gt, lt = dcs_constants(g, F)
 
     def expected(i, j):
         out = [Fraction(0)] * (2 * n)
@@ -174,10 +188,9 @@ def verify_closure_in_complexification(g: LieAlgebra, F: Matrix, lam) -> DoubleC
 
     for i in range(2 * n):
         for j in range(2 * n):
-            direct = Binv.apply(glam.bracket(newbasis[i], newbasis[j]))
-            if direct != expected(i, j):
+            if direct[i][j] != expected(i, j):
                 raise InternalMismatch(
-                    f"bracket of new basis vectors {i},{j}: direct {direct} != "
+                    f"bracket of new basis vectors {i},{j}: direct {direct[i][j]} != "
                     f"structure-constant form {expected(i, j)}"
                 )
 
@@ -255,21 +268,14 @@ def split_sv(F: Matrix, g: LieAlgebra) -> SVSplit:
 
 @dataclass(frozen=True)
 class ProjectedResiduals:
-    """Left-minus-right of the scalar / vector / traceless projections and
-    of the anticommutator-free combination (their half sum)."""
+    """Left-minus-right of the scalar / vector / traceless projections."""
 
     scalar: Fraction
     vector: Matrix
     traceless: Matrix
-    handy: Matrix
 
     def is_zero(self) -> bool:
-        return (
-            self.scalar == 0
-            and self.vector.is_zero()
-            and self.traceless.is_zero()
-            and self.handy.is_zero()
-        )
+        return self.scalar == 0 and self.vector.is_zero() and self.traceless.is_zero()
 
 
 def projected_equations(split: SVSplit, lam) -> ProjectedResiduals:
@@ -278,7 +284,10 @@ def projected_equations(split: SVSplit, lam) -> ProjectedResiduals:
     scalar:    ((tr S)^2 - tr S^2)/6 - lam - <V,V>
     vector:    {ad_V, S}
     traceless: [ad_V, S] + 2(S^2 - tr(S^2)/3 id) - 2(tr S S - (tr S)^2/3 id)
-    handy:     ad_V S + (S^2 - tr(S^2)/3 id) - (tr S S - (tr S)^2/3 id)
+
+    The anticommutator-free combination ad_V S + (S^2 - tr(S^2)/3 id)
+    - (tr S S - (tr S)^2/3 id) equals (vector + traceless)/2, so it is not
+    a separate residual.
     """
     lam = rat(lam)
     g, s = split.algebra, split.s
@@ -295,12 +304,7 @@ def projected_equations(split: SVSplit, lam) -> ProjectedResiduals:
         + 2 * (s2 - Fraction(1, 3) * tr_s2 * eye)
         - 2 * (tr_s * s - Fraction(1, 3) * tr_s * tr_s * eye)
     )
-    handy = (
-        adv @ s
-        + (s2 - Fraction(1, 3) * tr_s2 * eye)
-        - (tr_s * s - Fraction(1, 3) * tr_s * tr_s * eye)
-    )
-    return ProjectedResiduals(scalar, vector, traceless, handy)
+    return ProjectedResiduals(scalar, vector, traceless)
 
 
 def master_residual(split: SVSplit, lam) -> Matrix:

@@ -54,23 +54,6 @@ def vec(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(rat(v) for v in values)
 
 
-def vec_add(x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
-    if len(x) != len(y):
-        raise DimensionMismatch(f"vector lengths {len(x)} != {len(y)}")
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_sub(x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
-    if len(x) != len(y):
-        raise DimensionMismatch(f"vector lengths {len(x)} != {len(y)}")
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_scale(c, x: Sequence) -> tuple[Fraction, ...]:
-    c = rat(c)
-    return tuple(c * a for a in x)
-
-
 def vec_is_zero(x: Sequence) -> bool:
     return all(a == 0 for a in x)
 

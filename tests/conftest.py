@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from semidual.bianchi import classify
+from semidual.factorize import verify_closure_in_complexification
 from semidual.linalg import Matrix
 from semidual.lie import so3, so21
 
@@ -27,3 +29,9 @@ def rng_matrix(rng: random.Random, n=3) -> Matrix:
 
 def rng_vec(rng: random.Random, n=3):
     return tuple(rng_rat(rng) for _ in range(n))
+
+
+def classify_factor(inst):
+    """Bianchi classification of the factor algebra m of a solution instance."""
+    dcs = verify_closure_in_complexification(inst.algebra, inst.F, inst.lam)
+    return classify(dcs.m_algebra)

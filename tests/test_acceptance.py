@@ -20,11 +20,11 @@ from semidual.bianchi import (
     canonical_representatives,
     change_basis,
     classify,
-    classify_m,
 )
 from semidual.cli import main
 from semidual.factorize import (
     adjugate,
+    dcs_constants,
     factorization_check,
     master_residual,
     projected_equations,
@@ -52,7 +52,7 @@ from semidual.solutions import (
     zero_solution,
     double_solution,
 )
-from conftest import rng_matrix, rng_rat, rng_vec
+from conftest import classify_factor, rng_matrix, rng_rat, rng_vec
 from test_factorize import rational_orthogonal_samples
 
 LAMBDAS = [Fraction(x) for x in (-4, -1, 0, 1, 4)]
@@ -199,7 +199,7 @@ def test_acceptance_5_rmatrix_end_to_end():
         r = r_matrix(inst.F)
         # cocommutator from the double-cross-sum tensors equals the
         # coboundary cocommutator of r = F, exactly
-        assert dualco_delta(g, inst.F) == coboundary_delta(sd, r), inst
+        assert dualco_delta(*dcs_constants(g, inst.F)) == coboundary_delta(sd, r), inst
         # mCYBE: tensor path (cross-checked against the matrix path inside)
         assert mcybe_check(sd, r, inst.lam).is_zero(), inst
         # and the matrix-form path independently
@@ -304,19 +304,19 @@ def test_acceptance_7_table_reproduction(capsys):
     e, l = so3(), so21()
     produced = {}
     for inst in standard_sweep(e, l, include_rank_one=False):
-        produced.setdefault(classify_m(inst).label, []).append(inst)
+        produced.setdefault(classify_factor(inst).label, []).append(inst)
     assert set(produced) == {"I", "III", "IV", "V", "VI", "VII", "VIII", "IX"}
     assert "II" not in produced
     # the specific representatives called out per row
-    assert classify_m(zero_solution(e, 0)).label == "I"
-    assert classify_m(double_solution(e, 1, 1)).label == "IX"
-    assert classify_m(double_solution(l, 1, 1)).label == "VIII"
-    assert classify_m(generalized_kappa(e, (1, 0, 0), 1, 1, -1)).label == "VII"
-    assert classify_m(generalized_kappa(l, (0, 1, 0), 2, 1, 1)).label == "VI"
-    assert classify_m(generalized_kappa(l, (-1, 0, -1), 0, 1, 0)).label == "V"
-    assert classify_m(generalized_kappa(l, (-1, 0, -1), 1, 1, 0)).label == "IV"
-    assert classify_m(small_jordan(l, 1, 1, 1)).label == "III"
-    assert classify_m(large_jordan(l, 1)).label == "III"
+    assert classify_factor(zero_solution(e, 0)).label == "I"
+    assert classify_factor(double_solution(e, 1, 1)).label == "IX"
+    assert classify_factor(double_solution(l, 1, 1)).label == "VIII"
+    assert classify_factor(generalized_kappa(e, (1, 0, 0), 1, 1, -1)).label == "VII"
+    assert classify_factor(generalized_kappa(l, (0, 1, 0), 2, 1, 1)).label == "VI"
+    assert classify_factor(generalized_kappa(l, (-1, 0, -1), 0, 1, 0)).label == "V"
+    assert classify_factor(generalized_kappa(l, (-1, 0, -1), 1, 1, 0)).label == "IV"
+    assert classify_factor(small_jordan(l, 1, 1, 1)).label == "III"
+    assert classify_factor(large_jordan(l, 1)).label == "III"
     print("\nACCEPTANCE 7 summary table reproduction, no type II in sweep: PASS")
 
 

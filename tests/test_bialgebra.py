@@ -17,6 +17,7 @@ from semidual.bialgebra import (
     semidual_algebra,
     semidualize,
 )
+from semidual.factorize import dcs_constants
 from semidual.lie import so3, so21
 from semidual.linalg import Matrix
 from semidual.solutions import generalized_kappa
@@ -235,7 +236,7 @@ class TestCocommutatorAgreement:
         # identity in F; the factorisation condition is not needed here
         for g in (so3(), so21()):
             sd = semidual_algebra(g)
-            assert dualco_delta(g, F) == coboundary_delta(sd, r_matrix(F))
+            assert dualco_delta(*dcs_constants(g, F)) == coboundary_delta(sd, r_matrix(F))
 
     def test_specific_double(self, lorentz):
         sd = semidual_algebra(lorentz)
@@ -261,7 +262,7 @@ class TestGeneralDimension:
         r = r_matrix(f6)
         assert mcybe_check(sd, r, 1).is_zero()
         assert not mcybe_check(sd, r, 0).is_zero()
-        assert dualco_delta(g6, f6) == coboundary_delta(sd, r)
+        assert dualco_delta(*dcs_constants(g6, f6)) == coboundary_delta(sd, r)
         bi = semidualize(g6, f6, 1)
         assert bi.algebra.dim == 12
 
@@ -276,12 +277,13 @@ class TestCoJacobi:
                      id(lorentz): semidual_algebra(lorentz)}
         for inst in standard_sweep(euclid, lorentz):
             sd = semiduals[id(inst.algebra)]
-            delta = dualco_delta(inst.algebra, inst.F)
+            delta = dualco_delta(*dcs_constants(inst.algebra, inst.F))
             assert co_jacobi_violations(sd, delta) == []
 
     def test_fails_for_invalid_f(self, lorentz):
         # negative control: a non-factorising F gives a delta that is not a
         # Lie cobracket
         sd = semidual_algebra(lorentz)
-        delta = dualco_delta(lorentz, Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]]))
+        F = Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+        delta = dualco_delta(*dcs_constants(lorentz, F))
         assert co_jacobi_violations(sd, delta) != []

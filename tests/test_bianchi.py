@@ -10,7 +10,6 @@ from semidual.bianchi import (
     canonical_representatives,
     change_basis,
     classify,
-    classify_m,
 )
 from semidual.lie import JacobiViolation, LieAlgebra, complexify, make_lie_algebra
 from semidual.linalg import Matrix, Tensor3
@@ -20,7 +19,7 @@ from semidual.solutions import (
     large_jordan,
     small_jordan,
 )
-from conftest import rng_matrix
+from conftest import classify_factor, rng_matrix
 
 
 def random_invertible(rng, span=2):
@@ -155,13 +154,13 @@ class TestBasisInvariance:
 
 class TestClassifyM:
     def test_double(self, euclid, lorentz):
-        assert classify_m(double_solution(euclid, 1, 1)).label == "IX"
-        assert classify_m(double_solution(lorentz, 4, 2)).label == "VIII"
+        assert classify_factor(double_solution(euclid, 1, 1)).label == "IX"
+        assert classify_factor(double_solution(lorentz, 4, 2)).label == "VIII"
 
     def test_genkappa_timelike(self, euclid):
         inst = generalized_kappa(euclid, (1, 0, 0), 1, 1, -1)
-        assert classify_m(inst).label == "VII"
+        assert classify_factor(inst).label == "VII"
 
     def test_jordan(self, lorentz):
-        assert classify_m(large_jordan(lorentz, 1)).label == "III"
-        assert classify_m(small_jordan(lorentz, 0, 1, 1)).label == "III"
+        assert classify_factor(large_jordan(lorentz, 1)).label == "III"
+        assert classify_factor(small_jordan(lorentz, 0, 1, 1)).label == "III"

@@ -1,11 +1,17 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from semidual.cli import main
+from semidual import factorize
+from semidual.cli import build_report, main
+from semidual.linalg import Matrix
+from semidual.solutions import generalized_kappa
 
 GOLDEN = Path(__file__).parent / "golden"
+SWEEP_SCRIPT = Path(__file__).parent.parent / "scripts" / "sweep_families.py"
 
 IDENTITY = {"matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
 
@@ -238,3 +244,49 @@ class TestSelftest:
         code, out, _ = run(capsys, ["selftest"])
         assert code == 0
         assert "selftest: PASS" in out
+
+
+class TestBuildReportRunsEachStageOnce:
+    STAGES = ("factorization_check", "dcs_constants", "verify_closure_in_complexification")
+
+    def count_stages(self, monkeypatch):
+        counts = dict.fromkeys(self.STAGES, 0)
+        for name in self.STAGES:
+            def counted(*args, _name=name, _fn=getattr(factorize, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(factorize, name, counted)
+        return counts
+
+    def test_passing_instance(self, monkeypatch, lorentz):
+        inst = generalized_kappa(lorentz, (0, 1, 0), 2, 1, 1)
+        counts = self.count_stages(monkeypatch)
+        rep = build_report("so21", inst.algebra, inst.F, inst.lam)
+        assert rep.passed and rep.classification.label == "VI"
+        assert counts == dict.fromkeys(self.STAGES, 1)
+
+    def test_failing_f(self, monkeypatch, lorentz):
+        counts = self.count_stages(monkeypatch)
+        rep = build_report("so21", lorentz, Matrix.identity(3), 0)
+        assert not rep.passed and rep.classification is None
+        assert counts["verify_closure_in_complexification"] == 0
+        assert counts["dcs_constants"] == 1
+
+    def test_closure_failure_after_zero_residual_is_internal(self, monkeypatch, lorentz):
+        def closure_fails(g, F, lam):
+            raise factorize.ClosureFailure("injected")
+
+        monkeypatch.setattr(factorize, "verify_closure_in_complexification", closure_fails)
+        with pytest.raises(factorize.InternalMismatch):
+            build_report("so21", lorentz, Matrix.identity(3), 1)
+
+
+class TestSweepScript:
+    def test_skip_rank_one_runs_clean(self):
+        proc = subprocess.run(
+            [sys.executable, str(SWEEP_SCRIPT), "--skip-rank-one"],
+            capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "MISMATCH" not in proc.stdout
+        assert "bianchi census:" in proc.stdout

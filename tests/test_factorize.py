@@ -19,7 +19,8 @@ from semidual.factorize import (
 )
 from semidual.lie import so3, so21
 from semidual.linalg import DimensionMismatch, Matrix, Tensor3, adjugate_cofactor
-from semidual.solutions import generalized_kappa, light_jordan, small_jordan
+from semidual.solutions import generalized_kappa, light_jordan, small_jordan, standard_sweep
+from conftest import rng_matrix
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 matrices = st.lists(
@@ -129,6 +130,35 @@ class TestClosure:
         assert b.rows == b.cols == 6
         # Q'_a = Q_a + F^b_a J_b with F = 2 id
         assert b.col(3) == (2, 0, 0, 1, 0, 0)
+
+
+class TestClosureReadsResidual:
+    """The J-part of [Q'_a, Q'_b] in the (J, Q') basis is the factorisation
+    residual: the closure's failure lists exactly the components of
+    factorization_check, and on solutions it returns the dcs_constants."""
+
+    @pytest.mark.parametrize("lam", [-4, -1, 0, 1, 4])
+    def test_random_and_conjugated_solutions(self, euclid, lorentz, lam):
+        rng = random.Random(20131017 + lam)
+        sweep = list(standard_sweep(euclid, lorentz))
+        for g in (euclid, lorentz):
+            sols = [inst.F for inst in sweep if inst.algebra is g and inst.lam == lam]
+            sols = rng.sample(sols, min(2, len(sols)))
+            rots = rational_orthogonal_samples(g, len(sols), seed=lam)
+            conj = [r @ F @ r.inverse() for r, F in zip(rots, sols)]
+            assert all(factorization_check(g, F, lam).is_zero() for F in conj)
+            for F in [rng_matrix(rng) for _ in range(6)] + conj:
+                resid = factorization_check(g, F, lam)
+                try:
+                    dcs = verify_closure_in_complexification(g, F, lam)
+                except ClosureFailure as exc:
+                    comps = ", ".join(
+                        f"[{a},{b}]->J_{c}: {v}" for a, b, c, v in resid.nonzero()[:6]
+                    )
+                    assert str(exc) == f"factorisation condition fails; nonzero residual at {comps}"
+                    continue
+                assert resid.is_zero()
+                assert (dcs.g_tensor, dcs.l_tensor) == dcs_constants(g, F)
 
 
 class TestGeneralDimension:

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from semidual.bianchi import classify_m
 from semidual.factorize import (
     basis_change_matrix,
     split_sv,
@@ -30,6 +29,7 @@ from semidual.solutions import (
     standard_sweep,
     zero_solution,
 )
+from conftest import classify_factor
 
 
 def basis(a, n=3):
@@ -239,26 +239,26 @@ class TestExpectedTypes:
             (lorentz, (1, 0, 1), 0),
         ):
             inst = kappa_solution(g, v, lam)
-            assert classify_m(inst).label == "V"
+            assert classify_factor(inst).label == "V"
 
     def test_spacelike_degenerate_beta_is_iii(self, lorentz):
         # beta^2 lambda = 1 makes one eigenvalue vanish: R (+) L(2)
         inst = generalized_kappa(lorentz, (0, 1, 0), 1, 1, 1)
-        assert classify_m(inst).label == "III"
+        assert classify_factor(inst).label == "III"
         inst = generalized_kappa(lorentz, (0, 2, 0), Fraction(1, 2), 1, 4)
-        assert classify_m(inst).label == "III"
+        assert classify_factor(inst).label == "III"
 
     def test_rank_one_types(self, euclid, lorentz):
-        assert classify_m(rank_one(euclid, (1, 0, 0), 1)).label == "VII"
-        assert classify_m(rank_one(lorentz, (1, 0, 0), 1)).label == "VII"
-        assert classify_m(rank_one(lorentz, (0, 1, 0), 1)).label == "VI"
-        assert classify_m(rank_one(lorentz, (1, 0, 0), 0)).label == "I"
+        assert classify_factor(rank_one(euclid, (1, 0, 0), 1)).label == "VII"
+        assert classify_factor(rank_one(lorentz, (1, 0, 0), 1)).label == "VII"
+        assert classify_factor(rank_one(lorentz, (0, 1, 0), 1)).label == "VI"
+        assert classify_factor(rank_one(lorentz, (1, 0, 0), 0)).label == "I"
 
     def test_rank_one_lightlike_variants(self, lorentz):
         # F = m^b m_a trivially satisfies the condition for any lightlike m
         for m in ((1, 1, 0), (5, 3, 4), (1, 0, -1)):
             inst = rank_one(lorentz, m, 1)  # construction asserts validity
-            assert classify_m(inst).label == "II"
+            assert classify_factor(inst).label == "II"
 
     def test_rank_one_lightlike_is_heisenberg(self, lorentz):
         # the nilpotent R-action of the lightlike rank-one family is the
@@ -266,11 +266,11 @@ class TestExpectedTypes:
         # this boundary case (reported as computed)
         inst = rank_one(lorentz, (1, 0, 1), 1)
         assert inst.expected_bianchi.label == "II"
-        assert classify_m(inst).label == "II"
+        assert classify_factor(inst).label == "II"
 
     def test_sweep_expected_matches_computed(self, euclid, lorentz):
         for inst in standard_sweep(euclid, lorentz)[::7]:
-            assert classify_m(inst).label == inst.expected_bianchi.label
+            assert classify_factor(inst).label == inst.expected_bianchi.label
 
 
 class TestMixedCommutators:
