@@ -33,17 +33,15 @@ class NotAFactorisation(ValueError):
 def semidual_algebra(g: LieAlgebra) -> LieAlgebra:
     """The 2n-dim Lie algebra of the semidual on the (J, P) basis."""
     n = g.dim
-
-    def fn(i, j, k):
-        if i < n and j < n:
-            return g.f[i, j, k] if k < n else Fraction(0)
-        if i < n and j >= n:  # [J_a, P^b] = -f_ac^b P^c
-            return -g.f[i, k - n, j - n] if k >= n else Fraction(0)
-        if i >= n and j < n:
-            return g.f[j, k - n, i - n] if k >= n else Fraction(0)
-        return Fraction(0)  # [P, P] = 0
-
-    return make_lie_algebra(Tensor3.build(2 * n, fn))
+    entries = []
+    for (a, b), row in g.table.items():
+        for c, v in row:
+            entries += (
+                (a, b, c, v),  # [J_a, J_b] = f_ab^c J_c
+                (a, n + c, n + b, -v),  # [J_a, P^c] = -f_ab^c P^b
+                (n + c, a, n + b, v),  # [P^c, J_a] = f_ab^c P^b
+            )
+    return make_lie_algebra(Tensor3.sparse(2 * n, entries))
 
 
 def dualco_delta(gt: Tensor3, lt: Tensor3) -> Tensor3:
@@ -157,24 +155,26 @@ def coboundary_delta(alg: LieAlgebra, r: RMatrix) -> Tensor3:
     n2 = alg.dim
     if r.tensor.rows != n2:
         raise DimensionMismatch("r-matrix does not live on the algebra's space")
-    rt = r.tensor
-    out = []
-    for i in range(n2):
-        plane = [[Fraction(0)] * n2 for _ in range(n2)]
-        for m in range(n2):
-            for j in range(n2):
-                c = alg.f[i, m, j]
-                if c == 0:
-                    continue
-                for k in range(n2):
-                    v = rt[m, k]
-                    if v != 0:
-                        plane[j][k] += c * v
-                    w = rt[k, m]
-                    if w != 0:
-                        plane[k][j] += c * w
-        out.append(plane)
-    return Tensor3(out)
+    rnz = r.tensor.nonzero()
+    entries = []
+    for (i, m), row in alg.table.items():
+        for j, c in row:
+            for p, k, v in rnz:
+                if p == m:
+                    entries.append((i, j, k, c * v))  # (ad_x (x) id)(r)
+                if k == m:
+                    entries.append((i, p, j, c * v))  # (id (x) ad_x)(r)
+    return Tensor3.sparse(n2, entries)
+
+
+def _j_block(alg: LieAlgebra) -> list[tuple[int, int, int, Fraction]]:
+    """The (a, b, c, f_ab^c) entries of [J_a, J_b] = f_ab^c J_c in a (J, P) algebra."""
+    n = alg.dim // 2
+    return [
+        (a, b, c, v)
+        for (a, b), row in alg.table.items() if a < n and b < n
+        for c, v in row if c < n
+    ]
 
 
 def omega(alg: LieAlgebra) -> Tensor3:
@@ -187,36 +187,23 @@ def omega(alg: LieAlgebra) -> Tensor3:
     if n2 % 2 != 0:
         raise DimensionMismatch("invariant element needs a (J, P) algebra")
     n = n2 // 2
-    for a in range(n, n2):
-        for b in range(n, n2):
-            for c in range(n2):
-                if alg.f[a, b, c] != 0:
-                    raise ValueError("P generators are not abelian")
-
-    def fn(i, j, k):
-        if i >= n and j >= n and k < n:
-            return alg.f[i - n, j - n, k]
-        if i >= n and j < n and k >= n:
-            return -alg.f[i - n, k - n, j]
-        if i < n and j >= n and k >= n:
-            return alg.f[j - n, k - n, i]
-        return Fraction(0)
-
-    om = Tensor3.build(n2, fn)
+    table = alg.table
+    if any(a >= n and b >= n for a, b in table):
+        raise ValueError("P generators are not abelian")
+    entries = []
+    for a, b, c, v in _j_block(alg):
+        entries += ((n + a, n + b, c, v), (n + a, c, n + b, -v), (c, n + a, n + b, v))
+    om = Tensor3.sparse(n2, entries)
     nz = om.nonzero()
     for x in range(n2):
         acc: dict[tuple[int, int, int], Fraction] = {}
         for i, j, k, v in nz:
-            for m in range(n2):
-                if alg.f[x, i, m] != 0:
-                    key = (m, j, k)
-                    acc[key] = acc.get(key, Fraction(0)) + alg.f[x, i, m] * v
-                if alg.f[x, j, m] != 0:
-                    key = (i, m, k)
-                    acc[key] = acc.get(key, Fraction(0)) + alg.f[x, j, m] * v
-                if alg.f[x, k, m] != 0:
-                    key = (i, j, m)
-                    acc[key] = acc.get(key, Fraction(0)) + alg.f[x, k, m] * v
+            for m, w in table.get((x, i), ()):
+                acc[m, j, k] = acc.get((m, j, k), Fraction(0)) + w * v
+            for m, w in table.get((x, j), ()):
+                acc[i, m, k] = acc.get((i, m, k), Fraction(0)) + w * v
+            for m, w in table.get((x, k), ()):
+                acc[i, j, m] = acc.get((i, j, m), Fraction(0)) + w * v
         if any(v != 0 for v in acc.values()):
             raise AssertionError(f"invariant element is not ad-invariant under e_{x}")
     return om
@@ -228,26 +215,21 @@ def schouten(alg: LieAlgebra, r: RMatrix) -> Tensor3:
     if r.tensor.rows != n2:
         raise DimensionMismatch("r-matrix does not live on the algebra's space")
     rnz = r.tensor.nonzero()
-    cd: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for a in range(n2):
-        for b in range(n2):
-            entries = [(c, alg.f[a, b, c]) for c in range(n2) if alg.f[a, b, c] != 0]
-            if entries:
-                cd[(a, b)] = entries
-    acc = [[[Fraction(0)] * n2 for _ in range(n2)] for _ in range(n2)]
+    table = alg.table
+    entries = []
     for a, j, va in rnz:
         for b, k, vb in rnz:
-            for c, cv in cd.get((a, b), ()):
-                acc[c][j][k] += va * vb * cv  # [r12, r13]
+            for c, cv in table.get((a, b), ()):
+                entries.append((c, j, k, va * vb * cv))  # [r12, r13]
     for i, a, va in rnz:
         for b, k, vb in rnz:
-            for c, cv in cd.get((a, b), ()):
-                acc[i][c][k] += va * vb * cv  # [r12, r23]
+            for c, cv in table.get((a, b), ()):
+                entries.append((i, c, k, va * vb * cv))  # [r12, r23]
     for i, a, va in rnz:
         for j, b, vb in rnz:
-            for c, cv in cd.get((a, b), ()):
-                acc[i][j][c] += va * vb * cv  # [r13, r23]
-    return Tensor3(acc)
+            for c, cv in table.get((a, b), ()):
+                entries.append((i, j, c, va * vb * cv))  # [r13, r23]
+    return Tensor3.sparse(n2, entries)
 
 
 def mcybe_matrix_residual(g: LieAlgebra, R: Matrix, lam) -> Tensor3:
@@ -258,18 +240,17 @@ def mcybe_matrix_residual(g: LieAlgebra, R: Matrix, lam) -> Tensor3:
     """
     lam = rat(lam)
     n = g.dim
-    f = g.f
-
-    def fn(e, a, c):
-        acc = lam * f[e, a, c]
-        for b in range(n):
-            for d in range(n):
-                acc += R[b, a] * R[c, d] * f[b, e, d]
-                acc -= R[b, e] * R[c, d] * f[b, a, d]
-                acc += R[b, e] * R[d, a] * f[b, d, c]
-        return acc
-
-    return Tensor3.build(n, fn)
+    entries = []
+    for (x, y), row in g.table.items():
+        for z, v in row:
+            entries.append((x, y, z, lam * v))  # lam f_ea^c
+            for p in range(n):
+                for q in range(n):
+                    t = R[x, p] * R[q, z] * v
+                    entries.append((y, p, q, t))  # R^b_a R^c_d f_be^d
+                    entries.append((p, y, q, -t))  # -R^b_e R^c_d f_ba^d
+                    entries.append((p, q, z, R[x, p] * R[y, q] * v))  # R^b_e R^d_a f_bd^c
+    return Tensor3.sparse(n, entries)
 
 
 def mcybe_check(alg: LieAlgebra, r: RMatrix, lam) -> Tensor3:
@@ -283,7 +264,7 @@ def mcybe_check(alg: LieAlgebra, r: RMatrix, lam) -> Tensor3:
     lam = rat(lam)
     res = schouten(alg, r) + lam * omega(alg)
     n = alg.dim // 2
-    g_block = LieAlgebra(n, Tensor3.build(n, lambda a, b, c: alg.f[a, b, c]))
+    g_block = LieAlgebra(n, Tensor3.sparse(n, _j_block(alg)))
     mat = mcybe_matrix_residual(g_block, r.coeffs, lam)
     for e in range(n):
         for a in range(n):

@@ -175,19 +175,11 @@ def change_basis(g: LieAlgebra, A: Matrix) -> LieAlgebra:
     """Structure constants in the basis J'_a = A[b][a] J_b (A invertible)."""
     ainv = A.inverse()
     n = g.dim
-
-    def fn(a, b, c):
-        acc = Fraction(0)
-        for d in range(n):
-            if A[d, a] == 0:
-                continue
-            for e in range(n):
-                if A[e, b] == 0:
-                    continue
-                for x in range(n):
-                    v = g.f[d, e, x]
-                    if v != 0:
-                        acc += A[d, a] * A[e, b] * v * ainv[c, x]
-        return acc
-
-    return make_lie_algebra(Tensor3.build(n, fn))
+    entries = []
+    for (d, e), row in g.table.items():
+        for x, v in row:
+            for a in range(n):
+                for b in range(n):
+                    t = A[d, a] * A[e, b] * v
+                    entries += ((a, b, c, t * ainv[c, x]) for c in range(n))
+    return make_lie_algebra(Tensor3.sparse(n, entries))

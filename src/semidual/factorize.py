@@ -60,21 +60,16 @@ def dcs_constants(g: LieAlgebra, F: Matrix) -> tuple[Tensor3, Tensor3]:
     """
     _check_square(g, F)
     n = g.dim
-    f = g.f
-
-    def g_fn(a, b, c):
-        return sum(
-            (f[a, d, c] * F[d, b] + F[d, a] * f[d, b, c] for d in range(n)),
-            Fraction(0),
-        )
-
-    def l_fn(a, b, c):
-        return sum(
-            (F[d, a] * f[d, b, c] - F[c, d] * f[a, b, d] for d in range(n)),
-            Fraction(0),
-        )
-
-    return Tensor3.build(n, g_fn), Tensor3.build(n, l_fn)
+    gt, lt = [], []
+    for (x, y), row in g.table.items():
+        for z, v in row:
+            for e in range(n):
+                gt.append((x, e, z, v * F[y, e]))  # f_ad^c F^d_b
+                fv = F[x, e] * v  # F^d_a f_db^c
+                gt.append((e, y, z, fv))
+                lt.append((e, y, z, fv))
+                lt.append((x, y, e, -F[e, z] * v))  # -F^c_d f_ab^d
+    return Tensor3.sparse(n, gt), Tensor3.sparse(n, lt)
 
 
 def factorization_check(g: LieAlgebra, F: Matrix, lam) -> Tensor3:

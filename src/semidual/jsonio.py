@@ -46,7 +46,7 @@ def algebra_from_json(obj, where="algebra") -> LieAlgebra:
     if not isinstance(obj, dict):
         raise InputError(f"{where}: expected an object")
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InputError(f"{where}.dim: expected a positive integer")
     metric = None
     if obj.get("metric") is not None:
@@ -69,6 +69,8 @@ def algebra_from_json(obj, where="algebra") -> LieAlgebra:
         except KeyError as exc:
             raise InputError(f"{loc}: missing field {exc}") from exc
         for name, val in (("a", a), ("b", b), ("c", c)):
+            if isinstance(val, bool):
+                raise InputError(f"{loc}.{name}: expected an integer index, got {json.dumps(val)}")
             if not isinstance(val, int) or not 0 <= val < dim:
                 raise InputError(f"{loc}.{name}: index out of range 0..{dim - 1}")
         if not a < b:

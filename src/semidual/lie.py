@@ -8,13 +8,19 @@ Conventions, fixed package-wide:
   * complexify(g, lam) returns the 2n-dim algebra on (J_0..J_{n-1},
     Q_0..Q_{n-1}) with [Q_a, J_b] = f_ab^c Q_c, [Q_a, Q_b] = lam f_ab^c J_c.
     Indices 0..n-1 are J and n..2n-1 are Q; downstream code relies on this.
+  * Code reads f through LieAlgebra.table, the sparse read-only
+    (a, b) -> ((c, f_ab^c), ...) bracket table built once per algebra;
+    every bracket contraction and every derived algebra iterates it
+    instead of probing f at all index triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .linalg import DimensionMismatch, Matrix, Tensor3, rat, vec
 
@@ -58,18 +64,23 @@ def check_antisymmetry(f: Tensor3) -> list[tuple[int, int, int]]:
     )
 
 
-def _bracket_entries(f: Tensor3) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+def bracket_table(f: Tensor3) -> Mapping[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
+    """The nonzero structure constants as a read-only (a, b) -> ((c, f_ab^c), ...).
+
+    Pairs with [J_a, J_b] = 0 are absent.  Keys and entries come in index
+    order.
+    """
     pairs: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for a, b, c, v in f.nonzero():
         pairs.setdefault((a, b), []).append((c, v))
-    return pairs
+    return MappingProxyType({ab: tuple(row) for ab, row in pairs.items()})
 
 
 def check_jacobi(f: Tensor3) -> list[tuple[int, int, int, int, Fraction]]:
     # given antisymmetry, the Jacobi sum is totally antisymmetric in (a,b,c),
     # so a < b < c covers every case
     n = f.dim
-    pairs = _bracket_entries(f)
+    pairs = bracket_table(f)
     bad = []
     for a in range(n):
         for b in range(a + 1, n):
@@ -87,7 +98,7 @@ def check_jacobi(f: Tensor3) -> list[tuple[int, int, int, int, Fraction]]:
 
 def check_metric_invariance(f: Tensor3, metric: Matrix) -> list[tuple[int, int, int]]:
     n = f.dim
-    pairs = _bracket_entries(f)
+    pairs = bracket_table(f)
     bad = []
     for a in range(n):
         for b in range(n):
@@ -115,6 +126,12 @@ class LieAlgebra:
     f: Tensor3
     metric: Matrix | None = None
 
+    @cached_property
+    def table(self) -> Mapping[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
+        """bracket_table(f), computed on first use and kept on the instance
+        (outside the dataclass fields, so equality and hashing ignore it)."""
+        return bracket_table(self.f)
+
     def element(self, coeffs: Sequence) -> tuple[Fraction, ...]:
         x = vec(coeffs)
         if len(x) != self.dim:
@@ -123,20 +140,12 @@ class LieAlgebra:
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
         xs, ys = self.element(x), self.element(y)
-        n = self.dim
-        out = []
-        for c in range(n):
-            acc = Fraction(0)
-            for a in range(n):
-                if xs[a] == 0:
-                    continue
-                for b in range(n):
-                    if ys[b] == 0:
-                        continue
-                    v = self.f[a, b, c]
-                    if v != 0:
-                        acc += v * xs[a] * ys[b]
-            out.append(acc)
+        out = [Fraction(0)] * self.dim
+        for (a, b), entries in self.table.items():
+            if xs[a] and ys[b]:
+                xy = xs[a] * ys[b]
+                for c, v in entries:
+                    out[c] += v * xy
         return tuple(out)
 
     def inner(self, x: Sequence, y: Sequence) -> Fraction:
@@ -153,14 +162,15 @@ class LieAlgebra:
         )
 
     def ad(self, v: Sequence) -> Matrix:
-        """Matrix of ad_V: J_b -> [V, J_b]."""
+        """Matrix of ad_V: J_b -> [V, J_b], i.e. ad_V[c][b] = V^a f_ab^c."""
         vs = self.element(v)
         n = self.dim
-        return Matrix.build(
-            n,
-            n,
-            lambda c, b: sum((vs[a] * self.f[a, b, c] for a in range(n)), Fraction(0)),
-        )
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for (a, b), entries in self.table.items():
+            if vs[a]:
+                for c, w in entries:
+                    m[c][b] += vs[a] * w
+        return Matrix(m)
 
     def basis(self) -> list[tuple[Fraction, ...]]:
         return [
@@ -240,18 +250,16 @@ def complexify(g: LieAlgebra, lam) -> LieAlgebra:
     """
     lam = rat(lam)
     n = g.dim
-
-    def fn(i, j, k):
-        if i < n and j < n:
-            return g.f[i, j, k] if k < n else Fraction(0)
-        if i >= n and j < n:  # [Q_a, J_b] = f_ab^c Q_c
-            return g.f[i - n, j, k - n] if k >= n else Fraction(0)
-        if i < n and j >= n:  # [J_a, Q_b] = -f_ba^c Q_c
-            return -g.f[j - n, i, k - n] if k >= n else Fraction(0)
-        # [Q_a, Q_b] = lam f_ab^c J_c
-        return lam * g.f[i - n, j - n, k] if k < n else Fraction(0)
-
-    return make_lie_algebra(Tensor3.build(2 * n, fn))
+    entries = []
+    for (a, b), row in g.table.items():
+        for c, v in row:
+            entries += (
+                (a, b, c, v),  # [J_a, J_b] = f_ab^c J_c
+                (n + a, b, n + c, v),  # [Q_a, J_b] = f_ab^c Q_c
+                (b, n + a, n + c, -v),  # [J_b, Q_a] = -f_ab^c Q_c
+                (n + a, n + b, c, lam * v),  # [Q_a, Q_b] = lam f_ab^c J_c
+            )
+    return make_lie_algebra(Tensor3.sparse(2 * n, entries))
 
 
 def theta(gl: LieAlgebra, x: Sequence, lam) -> tuple[Fraction, ...]:

@@ -28,10 +28,13 @@ _RATIONAL = re.compile(r"([+-]?\d+)\s*(?:/\s*(\d+))?")
 def rat(value) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact rational.
 
-    Floats are rejected (no rounding anywhere); so are zero denominators.
+    Floats are rejected (no rounding anywhere); so are bools and zero
+    denominators.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"cannot interpret bool {value!r} as a rational")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -414,6 +417,19 @@ class Tensor3:
                 for i in range(dim)
             ]
         )
+
+    @classmethod
+    def sparse(cls, dim: int, entries: Iterable[tuple[int, int, int, object]]) -> "Tensor3":
+        """The tensor whose (i, j, k) entry is the sum of every v listed as
+        (i, j, k, v); entries never listed are zero."""
+        sums: dict[tuple[int, int, int], object] = {}
+        for i, j, k, v in entries:
+            key = (i, j, k)
+            sums[key] = sums[key] + v if key in sums else v
+        cube = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        for (i, j, k), v in sums.items():
+            cube[i][j][k] = v
+        return cls(cube)
 
     def __getitem__(self, key) -> Fraction:
         i, j, k = key

@@ -5,7 +5,7 @@ import pytest
 
 from semidual.bianchi import classify
 from semidual.factorize import verify_closure_in_complexification
-from semidual.linalg import Matrix
+from semidual.linalg import Matrix, Tensor3
 from semidual.lie import so3, so21
 
 
@@ -35,3 +35,141 @@ def classify_factor(inst):
     """Bianchi classification of the factor algebra m of a solution instance."""
     dcs = verify_closure_in_complexification(inst.algebra, inst.F, inst.lam)
     return classify(dcs.m_algebra)
+
+
+def rng_invertible(rng: random.Random, n=3) -> Matrix:
+    while True:
+        m = rng_matrix(rng, n)
+        if m.det() != 0:
+            return m
+
+
+# Dense references: direct sums over every index of the formulas the library
+# docstrings state, reading f only by index.  The library iterates the sparse
+# bracket table instead; tests compare the two exactly.
+
+def _sum(terms) -> Fraction:
+    return sum(terms, Fraction(0))
+
+
+def dense_bracket(g, x, y):
+    """[X, Y]^c = X^a Y^b f_ab^c."""
+    r = range(g.dim)
+    return tuple(_sum(x[a] * y[b] * g.f[a, b, c] for a in r for b in r) for c in r)
+
+
+def dense_ad(g, v) -> Matrix:
+    """ad_V[c][b] = V^a f_ab^c."""
+    r = range(g.dim)
+    return Matrix.build(g.dim, g.dim, lambda c, b: _sum(v[a] * g.f[a, b, c] for a in r))
+
+
+def dense_complexify(g, lam) -> Tensor3:
+    """[J,J] = f J, [Q_a, J_b] = f_ab^c Q_c, [J_a, Q_b] = -f_ba^c Q_c,
+    [Q_a, Q_b] = lam f_ab^c J_c on (J_0..J_{n-1}, Q_0..Q_{n-1})."""
+    n, f = g.dim, g.f
+
+    def fn(i, j, k):
+        a, b, c = i % n, j % n, k % n
+        block = (i >= n, j >= n, k >= n)
+        if block == (False, False, False):
+            return f[a, b, c]
+        if block == (True, False, True):
+            return f[a, b, c]
+        if block == (False, True, True):
+            return -f[b, a, c]
+        if block == (True, True, False):
+            return lam * f[a, b, c]
+        return 0
+
+    return Tensor3.build(2 * n, fn)
+
+
+def dense_semidual(g) -> Tensor3:
+    """[J_a, J_b] = f_ab^c J_c, [J_a, P^b] = -f_ac^b P^c, [P, P] = 0."""
+    n, f = g.dim, g.f
+
+    def fn(i, j, k):
+        a, b, c = i % n, j % n, k % n
+        block = (i >= n, j >= n, k >= n)
+        if block == (False, False, False):
+            return f[a, b, c]
+        if block == (False, True, True):
+            return -f[a, c, b]
+        if block == (True, False, True):  # [P^a, J_b] = -[J_b, P^a]
+            return f[b, c, a]
+        return 0
+
+    return Tensor3.build(2 * n, fn)
+
+
+def dense_dcs(g, F) -> tuple[Tensor3, Tensor3]:
+    """g_ab^c = f_ad^c F^d_b + F^d_a f_db^c,  L_ab^c = F^d_a f_db^c - F^c_d f_ab^d."""
+    n, f = g.dim, g.f
+    r = range(n)
+    gt = Tensor3.build(n, lambda a, b, c: _sum(
+        f[a, d, c] * F[d, b] + F[d, a] * f[d, b, c] for d in r))
+    lt = Tensor3.build(n, lambda a, b, c: _sum(
+        F[d, a] * f[d, b, c] - F[c, d] * f[a, b, d] for d in r))
+    return gt, lt
+
+
+def dense_coboundary(alg, rt: Matrix) -> Tensor3:
+    """delta(e_i) = (ad_{e_i} (x) id + id (x) ad_{e_i})(r):
+    delta[i][j][k] = f_im^j r^{mk} + f_im^k r^{jm}."""
+    r = range(alg.dim)
+    f = alg.f
+    return Tensor3.build(alg.dim, lambda i, j, k: _sum(
+        f[i, m, j] * rt[m, k] + f[i, m, k] * rt[j, m] for m in r))
+
+
+def dense_omega(alg) -> Tensor3:
+    """f_ab^c (P^a P^b J_c - P^a J_c P^b + J_c P^a P^b) on a (J, P) algebra."""
+    n = alg.dim // 2
+    f = alg.f
+
+    def fn(i, j, k):
+        block = (i >= n, j >= n, k >= n)
+        if block == (True, True, False):
+            return f[i - n, j - n, k]
+        if block == (True, False, True):
+            return -f[i - n, k - n, j]
+        if block == (False, True, True):
+            return f[j - n, k - n, i]
+        return 0
+
+    return Tensor3.build(alg.dim, fn)
+
+
+def dense_schouten(alg, rt: Matrix) -> Tensor3:
+    """[[r, r]]^{ijk} = r^{aj} r^{bk} C_ab^i + r^{ia} r^{bk} C_ab^j + r^{ia} r^{jb} C_ab^k,
+    with the sum over b done first."""
+    n, C = alg.dim, alg.f
+    r = range(n)
+    rc = [[[_sum(rt[b, k] * C[a, b, i] for b in r) for i in r] for k in r] for a in r]
+    cr = [[[_sum(rt[j, b] * C[a, b, k] for b in r) for k in r] for j in r] for a in r]
+    return Tensor3.build(n, lambda i, j, k: _sum(
+        rt[a, j] * rc[a][k][i] + rt[i, a] * rc[a][k][j] + rt[i, a] * cr[a][j][k]
+        for a in r))
+
+
+def dense_mcybe_matrix(g, R: Matrix, lam) -> Tensor3:
+    """res[e][a][c] = R^b_a R^c_d f_be^d - R^b_e R^c_d f_ba^d
+    + R^b_e R^d_a f_bd^c + lam f_ea^c."""
+    r = range(g.dim)
+    f = g.f
+    return Tensor3.build(g.dim, lambda e, a, c: lam * f[e, a, c] + _sum(
+        R[b, a] * R[c, d] * f[b, e, d]
+        - R[b, e] * R[c, d] * f[b, a, d]
+        + R[b, e] * R[d, a] * f[b, d, c]
+        for b in r for d in r))
+
+
+def dense_change_basis(f: Tensor3, A: Matrix) -> Tensor3:
+    """Structure constants in the basis J'_a = A^d_a J_d:
+    f'_ab^c = A^d_a A^e_b f_de^x (A^-1)^c_x."""
+    r = range(f.dim)
+    ainv = A.inverse()
+    return Tensor3.build(f.dim, lambda a, b, c: _sum(
+        A[d, a] * A[e, b] * f[d, e, x] * ainv[c, x]
+        for d in r for e in r for x in r))

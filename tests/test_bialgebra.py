@@ -273,10 +273,9 @@ class TestCoJacobi:
         # a tensor identity across the whole sweep
         from semidual.solutions import standard_sweep
 
-        semiduals = {id(euclid): semidual_algebra(euclid),
-                     id(lorentz): semidual_algebra(lorentz)}
+        semiduals = {g: semidual_algebra(g) for g in (euclid, lorentz)}
         for inst in standard_sweep(euclid, lorentz):
-            sd = semiduals[id(inst.algebra)]
+            sd = semiduals[inst.algebra]
             delta = dualco_delta(*dcs_constants(inst.algebra, inst.F))
             assert co_jacobi_violations(sd, delta) == []
 

@@ -93,6 +93,20 @@ class TestVerify:
         assert code == 2
         assert "a < b" in err
 
+    @pytest.mark.parametrize("algebra, field", [
+        ({"dim": True, "metric": None, "f": []}, ".dim"),
+        ({**HEISENBERG, "f": [{"a": False, "b": True, "c": 2, "v": "1"}]}, ".f[0].a"),
+        ({**HEISENBERG, "f": [{"a": 0, "b": 1, "c": True, "v": "1"}]}, ".f[0].c"),
+    ])
+    def test_bool_for_integer_exit_two(self, capsys, tmp_path, identity_file, algebra, field):
+        p = tmp_path / "bool_algebra.json"
+        p.write_text(json.dumps(algebra))
+        code, _, err = run(capsys, [
+            "verify", "--algebra", str(p), "--lambda", "0", "--f", identity_file,
+        ])
+        assert code == 2
+        assert field in err
+
     def test_deterministic_output(self, capsys, identity_file):
         argv = ["verify", "--algebra", "so21", "--lambda", "1", "--f", identity_file]
         _, first, _ = run(capsys, argv)

@@ -49,6 +49,11 @@ class TestRationals:
         with pytest.raises(TypeError):
             rat(0.5)
 
+    def test_bools_are_not_rationals(self):
+        for flag in (True, False):
+            with pytest.raises(TypeError):
+                rat(flag)
+
     @given(rationals, rationals)
     def test_field_ops_match_fraction(self, a, b):
         assert rat(str(a)) == a
@@ -226,6 +231,11 @@ class TestTensor3:
     def test_nonzero_sorted(self):
         t = Tensor3.build(2, lambda i, j, k: 1 if (i, j, k) in ((1, 0, 1), (0, 1, 0)) else 0)
         assert [idx[:3] for idx in t.nonzero()] == [(0, 1, 0), (1, 0, 1)]
+
+    def test_sparse_sums_listed_entries(self):
+        t = Tensor3.sparse(2, [(0, 1, 0, 1), (1, 0, 1, Fraction(1, 2)), (0, 1, 0, 2)])
+        assert t.nonzero() == [(0, 1, 0, 3), (1, 0, 1, Fraction(1, 2))]
+        assert Tensor3.sparse(3, []) == Tensor3.zeros(3)
 
     def test_not_cubical(self):
         with pytest.raises(DimensionMismatch):
