@@ -52,19 +52,15 @@ def dualco_delta(gt: Tensor3, lt: Tensor3) -> Tensor3:
     satisfies the factorisation condition.
     """
     n = gt.dim
-
-    def fn(i, j, k):
-        if i < n:
-            if j < n and k >= n:
-                return lt[k - n, i, j]
-            if j >= n and k < n:
-                return -lt[j - n, i, k]
-            return Fraction(0)
-        if j >= n and k >= n:
-            return gt[j - n, k - n, i - n]
-        return Fraction(0)
-
-    return Tensor3.build(2 * n, fn)
+    entries = []
+    for a, b, c, v in lt.nonzero():
+        entries += (
+            (b, c, n + a, v),  # delta(J_b) has L_ab^c J_c (x) P^a
+            (b, n + a, c, -v),  # and -L_ab^c P^a (x) J_c
+        )
+    for a, b, c, v in gt.nonzero():
+        entries.append((n + c, n + a, n + b, v))  # delta(P^c) has g_ab^c P^a (x) P^b
+    return Tensor3.sparse(2 * n, entries)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,19 @@ def vec_is_zero(x: Sequence) -> bool:
     return all(a == 0 for a in x)
 
 
+_ZERO = Fraction(0)
+
+
+def _fsum(terms: list[Fraction]) -> Fraction:
+    """Exact sum of Fractions, without the extra addition of a zero start."""
+    if not terms:
+        return _ZERO
+    total = terms[0]
+    for t in terms[1:]:
+        total += t
+    return total
+
+
 class Matrix:
     """Immutable dense matrix of exact rationals."""
 
@@ -76,6 +89,16 @@ class Matrix:
         self.rows = len(rows)
         self.cols = width
         self.data = rows
+
+    @classmethod
+    def _of(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "Matrix":
+        """Wrap rows that are already a non-empty rectangular tuple of tuples
+        of Fractions, with no coercion or shape check."""
+        m = object.__new__(cls)
+        m.rows = len(rows)
+        m.cols = len(rows[0])
+        m.data = rows
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "Matrix":
@@ -129,28 +152,28 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
+        return Matrix._of(
+            tuple(
+                tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.data, other.data)
-            ]
+            )
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
+        return Matrix._of(
+            tuple(
+                tuple(a - b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.data, other.data)
-            ]
+            )
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.data])
+        return Matrix._of(tuple(tuple(-a for a in row) for row in self.data))
 
     def __mul__(self, scalar) -> "Matrix":
         c = rat(scalar)
-        return Matrix([[c * a for a in row] for row in self.data])
+        return Matrix._of(tuple(tuple(c * a for a in row) for row in self.data))
 
     __rmul__ = __mul__
 
@@ -160,29 +183,29 @@ class Matrix:
                 f"cannot multiply ({self.rows},{self.cols}) by ({other.rows},{other.cols})"
             )
         ot = other.data
-        return Matrix(
-            [
-                [
+        return Matrix._of(
+            tuple(
+                tuple(
                     sum((row[k] * ot[k][j] for k in range(self.cols)), Fraction(0))
                     for j in range(other.cols)
-                ]
+                )
                 for row in self.data
-            ]
+            )
         )
 
     def apply(self, x: Sequence) -> tuple[Fraction, ...]:
+        """M x, summing only over the support of x and the nonzero entries
+        of M; the dropped terms are exact zeros, so the result is the dense
+        sum."""
         if len(x) != self.cols:
             raise DimensionMismatch(f"vector length {len(x)} != {self.cols} columns")
-        xs = vec(x)
+        support = [(a, v) for a, v in enumerate(vec(x)) if v]
         return tuple(
-            sum((row[a] * xs[a] for a in range(self.cols)), Fraction(0))
-            for row in self.data
+            _fsum([row[a] * v for a, v in support if row[a]]) for row in self.data
         )
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return Matrix._of(tuple(zip(*self.data)))
 
     def metric_transpose(self, eta: "Matrix") -> "Matrix":
         """Transpose w.r.t. an invertible symmetric metric: eta^-1 F^T eta."""
@@ -196,14 +219,14 @@ class Matrix:
         return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for row in self.data for a in row)
+        return not any(map(any, self.data))
 
     def nonzero(self) -> list[tuple[int, int, Fraction]]:
         return [
             (i, j, v)
             for i, row in enumerate(self.data)
             for j, v in enumerate(row)
-            if v != 0
+            if v
         ]
 
     def det(self) -> Fraction:
@@ -243,7 +266,7 @@ class Matrix:
         reduced, pivots = _row_reduce(aug, stop_col=n)
         if len(pivots) != n:
             raise ZeroDivisionError("matrix is singular")
-        return Matrix([row[n:] for row in reduced])
+        return Matrix._of(tuple(tuple(row[n:]) for row in reduced))
 
 
 def adjugate_cofactor(m: Matrix) -> Matrix:
@@ -406,6 +429,15 @@ class Tensor3:
         self.data = cube
 
     @classmethod
+    def _of(cls, cube: tuple[tuple[tuple[Fraction, ...], ...], ...]) -> "Tensor3":
+        """Wrap a cube that is already a cubical tuple of tuples of tuples of
+        Fractions, with no coercion or shape check."""
+        t = object.__new__(cls)
+        t.dim = len(cube)
+        t.data = cube
+        return t
+
+    @classmethod
     def zeros(cls, dim: int) -> "Tensor3":
         return cls([[[0] * dim for _ in range(dim)] for _ in range(dim)])
 
@@ -426,10 +458,10 @@ class Tensor3:
         for i, j, k, v in entries:
             key = (i, j, k)
             sums[key] = sums[key] + v if key in sums else v
-        cube = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        cube = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j, k), v in sums.items():
-            cube[i][j][k] = v
-        return cls(cube)
+            cube[i][j][k] = rat(v)
+        return cls._of(tuple(tuple(map(tuple, plane)) for plane in cube))
 
     def __getitem__(self, key) -> Fraction:
         i, j, k = key
@@ -456,31 +488,46 @@ class Tensor3:
         if self.dim != other.dim:
             raise DimensionMismatch(f"tensor dims {self.dim} != {other.dim}")
 
-    def __add__(self, other: "Tensor3") -> "Tensor3":
+    def _zip(self, other: "Tensor3", op) -> "Tensor3":
         self._same_dim(other)
-        return Tensor3.build(
-            self.dim, lambda i, j, k: self.data[i][j][k] + other.data[i][j][k]
+        return Tensor3._of(
+            tuple(
+                tuple(
+                    tuple(op(a, b) for a, b in zip(ra, rb))
+                    for ra, rb in zip(pa, pb)
+                )
+                for pa, pb in zip(self.data, other.data)
+            )
         )
+
+    def _map(self, op) -> "Tensor3":
+        return Tensor3._of(
+            tuple(tuple(tuple(op(a) for a in row) for row in plane) for plane in self.data)
+        )
+
+    # The element-wise operators do no Fraction arithmetic on an exact zero
+    # operand: the entry is then the other operand (or its negation), which
+    # is the value the arithmetic would give.
+
+    def __add__(self, other: "Tensor3") -> "Tensor3":
+        return self._zip(other, lambda a, b: (a + b if a else b) if b else a)
 
     def __sub__(self, other: "Tensor3") -> "Tensor3":
-        self._same_dim(other)
-        return Tensor3.build(
-            self.dim, lambda i, j, k: self.data[i][j][k] - other.data[i][j][k]
-        )
+        return self._zip(other, lambda a, b: (a - b if a else -b) if b else a)
 
     def __neg__(self) -> "Tensor3":
-        return Tensor3.build(self.dim, lambda i, j, k: -self.data[i][j][k])
+        return self._map(lambda a: -a if a else a)
 
     def __mul__(self, scalar) -> "Tensor3":
         c = rat(scalar)
-        return Tensor3.build(self.dim, lambda i, j, k: c * self.data[i][j][k])
+        if not c:
+            return Tensor3.sparse(self.dim, ())
+        return self._map(lambda a: c * a if a else a)
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(
-            v == 0 for plane in self.data for row in plane for v in row
-        )
+        return not any(any(row) for plane in self.data for row in plane)
 
     def nonzero(self) -> list[tuple[int, int, int, Fraction]]:
         return [
@@ -488,5 +535,5 @@ class Tensor3:
             for i, plane in enumerate(self.data)
             for j, row in enumerate(plane)
             for k, v in enumerate(row)
-            if v != 0
+            if v
         ]

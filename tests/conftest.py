@@ -5,7 +5,7 @@ import pytest
 
 from semidual.bianchi import classify
 from semidual.factorize import verify_closure_in_complexification
-from semidual.linalg import Matrix, Tensor3
+from semidual.linalg import Matrix, Tensor3, rat, vec
 from semidual.lie import so3, so21
 
 
@@ -50,6 +50,29 @@ def rng_invertible(rng: random.Random, n=3) -> Matrix:
 
 def _sum(terms) -> Fraction:
     return sum(terms, Fraction(0))
+
+
+def dense_apply(M: Matrix, x):
+    """(M x)[b] = sum_a M[b, a] x[a], over every column a."""
+    xs = vec(x)
+    return tuple(_sum(M[b, a] * xs[a] for a in range(M.cols)) for b in range(M.rows))
+
+
+def dense_add(s: Tensor3, t: Tensor3) -> Tensor3:
+    return Tensor3.build(s.dim, lambda i, j, k: s[i, j, k] + t[i, j, k])
+
+
+def dense_sub(s: Tensor3, t: Tensor3) -> Tensor3:
+    return Tensor3.build(s.dim, lambda i, j, k: s[i, j, k] - t[i, j, k])
+
+
+def dense_neg(t: Tensor3) -> Tensor3:
+    return Tensor3.build(t.dim, lambda i, j, k: -t[i, j, k])
+
+
+def dense_scale(c, t: Tensor3) -> Tensor3:
+    c = rat(c)
+    return Tensor3.build(t.dim, lambda i, j, k: c * t[i, j, k])
 
 
 def dense_bracket(g, x, y):
@@ -173,3 +196,22 @@ def dense_change_basis(f: Tensor3, A: Matrix) -> Tensor3:
     return Tensor3.build(f.dim, lambda a, b, c: _sum(
         A[d, a] * A[e, b] * f[d, e, x] * ainv[c, x]
         for d in r for e in r for x in r))
+
+
+def dense_dualco(gt: Tensor3, lt: Tensor3) -> Tensor3:
+    """Cocommutator of the semidual on (J, P): delta(P^a) = g_cb^a P^c (x) P^b,
+    delta(J_a) = L_ba^c (J_c (x) P^b - P^b (x) J_c)."""
+    n = gt.dim
+
+    def fn(i, j, k):
+        if i < n:
+            if j < n and k >= n:
+                return lt[k - n, i, j]
+            if j >= n and k < n:
+                return -lt[j - n, i, k]
+            return Fraction(0)
+        if j >= n and k >= n:
+            return gt[j - n, k - n, i - n]
+        return Fraction(0)
+
+    return Tensor3.build(2 * n, fn)

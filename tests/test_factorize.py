@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semidual import factorize
 from semidual.factorize import (
     ClosureFailure,
+    InternalMismatch,
     adjugate,
     dcs_constants,
     factorization_check,
@@ -159,6 +161,37 @@ class TestClosureReadsResidual:
                     continue
                 assert resid.is_zero()
                 assert (dcs.g_tensor, dcs.l_tensor) == dcs_constants(g, F)
+
+
+class TestClosureCrossCheck:
+    """The closure compares every bracket it computes in the (J, Q') basis
+    with the dcs_constants formulas; a wrong constant must be caught."""
+
+    @pytest.mark.parametrize("which", ["g", "L"])
+    def test_perturbed_constant_raises(self, euclid, lorentz, monkeypatch, which):
+        rng = random.Random(which)
+        real = factorize.dcs_constants
+        for inst in rng.sample(list(standard_sweep(euclid, lorentz)), 6):
+            g, F, lam = inst.algebra, inst.F, inst.lam
+            n = g.dim
+            verify_closure_in_complexification(g, F, lam)
+            a, b, c = (rng.randrange(n) for _ in range(3))
+
+            def perturbed(g_, F_):
+                gt, lt = real(g_, F_)
+                t = gt if which == "g" else lt
+                bumped = Tensor3.build(
+                    n, lambda i, j, k: t[i, j, k] + (1 if (i, j, k) == (a, b, c) else 0)
+                )
+                return (bumped, lt) if which == "g" else (gt, bumped)
+
+            with monkeypatch.context() as m:
+                m.setattr(factorize, "dcs_constants", perturbed)
+                with pytest.raises(InternalMismatch) as exc:
+                    verify_closure_in_complexification(g, F, lam)
+            # g_ab^c enters [Q'_a, Q'_b]; L_ab^c enters [J_b, Q'_a] first
+            i, j = (n + a, n + b) if which == "g" else (b, n + a)
+            assert str(exc.value).startswith(f"bracket of new basis vectors {i},{j}: ")
 
 
 class TestGeneralDimension:

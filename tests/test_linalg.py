@@ -16,7 +16,17 @@ from semidual.linalg import (
     rat_str,
     solve,
 )
-from conftest import rng_matrix
+from semidual.factorize import basis_change_matrix
+from conftest import (
+    dense_add,
+    dense_apply,
+    dense_neg,
+    dense_scale,
+    dense_sub,
+    rng_invertible,
+    rng_matrix,
+    rng_rat,
+)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
@@ -240,3 +250,133 @@ class TestTensor3:
     def test_not_cubical(self):
         with pytest.raises(DimensionMismatch):
             Tensor3([[[1]], [[1]]])
+
+
+def planted_zeros(rng: random.Random, count: int, zero_share=0.6) -> list[Fraction]:
+    """Random rationals, about zero_share of them exactly zero."""
+    return [Fraction(0) if rng.random() < zero_share else rng_rat(rng) for _ in range(count)]
+
+
+def sparse_tensor(rng: random.Random, dim: int, zero_share=0.6) -> Tensor3:
+    vals = iter(planted_zeros(rng, dim ** 3, zero_share))
+    return Tensor3.build(dim, lambda i, j, k: next(vals))
+
+
+def all_fractions(values) -> bool:
+    return all(type(v) is Fraction for v in values)
+
+
+def tensor_entries(t: Tensor3):
+    return [v for plane in t.data for row in plane for v in row]
+
+
+class TestSparseApply:
+    """Matrix.apply skips zeros of x and of M; it must equal the dense sum."""
+
+    def test_random_with_planted_zeros(self):
+        rng = random.Random(20131018)
+        for _ in range(60):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            share = rng.choice([0, 0.5, 0.9, 1])
+            M = Matrix([planted_zeros(rng, cols, share) for _ in range(rows)])
+            for x_share in (0, 0.5, 0.9, 1):
+                x = planted_zeros(rng, cols, x_share)
+                out = M.apply(x)
+                assert out == dense_apply(M, x)
+                assert len(out) == rows and all_fractions(out)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_inverse_basis_change(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            binv = basis_change_matrix(rng_matrix(rng, n)).inverse()
+            for _ in range(8):
+                x = planted_zeros(rng, 2 * n, rng.choice([0.3, 0.8]))
+                assert binv.apply(x) == dense_apply(binv, x)
+            for e in Matrix.identity(2 * n).data:
+                assert binv.apply(e) == dense_apply(binv, e)
+
+    def test_zero_vector(self):
+        M = rng_matrix(random.Random(1), 4)
+        out = M.apply([0, Fraction(0), "0", "0/5"])
+        assert out == (0, 0, 0, 0) and all_fractions(out)
+        assert Matrix.zeros(2, 3).apply([1, 2, 3]) == (0, 0)
+
+    def test_int_and_string_entries(self):
+        M = Matrix([[1, "1/2", 0], ["-2/3", 0, 4]])
+        for x in ([3, "1/3", "-5/7"], ["2", 0, 1], [0, "3/4", 0]):
+            out = M.apply(x)
+            assert out == dense_apply(M, x) and all_fractions(out)
+        assert M.apply([1, 2, 0]) == (2, Fraction(-2, 3))
+
+    def test_length_mismatch(self):
+        M = Matrix.identity(3)
+        for x in ([1, 2], [0, 0, 0, 0], []):
+            with pytest.raises(DimensionMismatch):
+                M.apply(x)
+
+
+class TestElementwiseArithmetic:
+    """Tensor3 and Matrix operators skip exact-zero operands and wrap their
+    result without coercion; entries must equal the dense references and
+    the results must equal tensors built through the public constructor."""
+
+    SCALARS = [0, 1, -3, "0", "2/3", "-7/4", Fraction(5, 2), Fraction(0)]
+
+    def check_public(self, t: Tensor3):
+        assert all_fractions(tensor_entries(t))
+        public = Tensor3([[list(row) for row in plane] for plane in t.data])
+        assert t == public and hash(t) == hash(public)
+
+    def test_tensor_operators(self):
+        rng = random.Random(17)
+        for dim in (1, 2, 3, 5):
+            for share in (0, 0.6, 0.95, 1):
+                s, t = sparse_tensor(rng, dim, share), sparse_tensor(rng, dim, 0.6)
+                for got, want in (
+                    (s + t, dense_add(s, t)),
+                    (t + s, dense_add(t, s)),
+                    (s - t, dense_sub(s, t)),
+                    (t - s, dense_sub(t, s)),
+                    (s - s, Tensor3.zeros(dim)),
+                    (-s, dense_neg(s)),
+                ):
+                    assert got == want
+                    self.check_public(got)
+                for c in self.SCALARS:
+                    assert s * c == dense_scale(c, s) == c * s
+                    self.check_public(s * c)
+                    self.check_public(c * s)
+
+    def test_bool_scalar_rejected(self):
+        t = sparse_tensor(random.Random(4), 2)
+        for c in (True, False):
+            with pytest.raises(TypeError):
+                t * c
+            with pytest.raises(TypeError):
+                c * t
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            Tensor3.zeros(2) + Tensor3.zeros(3)
+        with pytest.raises(DimensionMismatch):
+            Tensor3.zeros(3) - Tensor3.zeros(2)
+
+    def test_matrix_results_equal_public_construction(self):
+        rng = random.Random(5)
+        a, b = rng_matrix(rng, 4), rng_invertible(rng, 4)
+        for m in (a + b, a - b, -a, a * "3/2", 2 * a, a @ b, a.transpose(), b.inverse()):
+            entries = [v for row in m.data for v in row]
+            assert all_fractions(entries)
+            public = Matrix([list(row) for row in m.data])
+            assert m == public and hash(m) == hash(public)
+        assert (b.inverse() @ b) == Matrix.identity(4)
+        assert a.transpose().transpose() == a
+
+
+def test_sparse_coerces_listed_values():
+    t = Tensor3.sparse(2, [(0, 1, 0, 1), (1, 0, 0, "2/5"), (1, 1, 1, -1), (1, 1, 1, Fraction(1, 3))])
+    assert t.nonzero() == [(0, 1, 0, 1), (1, 0, 0, Fraction(2, 5)), (1, 1, 1, Fraction(-2, 3))]
+    assert all_fractions(tensor_entries(t))
+    with pytest.raises(TypeError):
+        Tensor3.sparse(2, [(0, 0, 0, True)])

@@ -17,6 +17,7 @@ from conftest import (
     dense_coboundary,
     dense_complexify,
     dense_dcs,
+    dense_dualco,
     dense_mcybe_matrix,
     dense_omega,
     dense_schouten,
@@ -28,6 +29,7 @@ from conftest import (
 )
 from semidual.bialgebra import (
     coboundary_delta,
+    dualco_delta,
     mcybe_matrix_residual,
     omega,
     r_matrix,
@@ -88,6 +90,11 @@ class TestKernelsMatchDenseFormulas:
             F = rng_matrix(rng, g.dim)
             assert dcs_constants(g, F) == dense_dcs(g, F)
 
+    def test_dualco_delta(self, case):
+        g, rng = case
+        gt, lt = dcs_constants(g, rng_matrix(rng, g.dim))
+        assert dualco_delta(gt, lt) == dense_dualco(gt, lt)
+
     def test_coboundary_delta(self, case):
         g, rng = case
         sd = semidual_algebra(g)
@@ -115,6 +122,20 @@ class TestKernelsMatchDenseFormulas:
         sd = semidual_algebra(g)
         r = r_matrix(rng_matrix(rng, g.dim))
         assert schouten(sd, r) == dense_schouten(sd, r.tensor)
+
+
+@pytest.mark.parametrize("make", [so3, so21, lambda: complexify(so21(), -1)],
+                         ids=["so3", "so21", "so21-complexified"])
+def test_dualco_delta_reads_only_nonzero_constants(make):
+    """dualco_delta is built from gt.nonzero() and lt.nonzero(); it must equal
+    the dense per-entry formula for random F, including zero entries."""
+    g = make()
+    rng = random.Random(g.dim)
+    for _ in range(4):
+        gt, lt = dcs_constants(g, rng_matrix(rng, g.dim))
+        assert dualco_delta(gt, lt) == dense_dualco(gt, lt)
+    zero = dcs_constants(g, rng_matrix(rng, g.dim) * 0)
+    assert dualco_delta(*zero) == dense_dualco(*zero)
 
 
 class TestTableHeldOnTheAlgebra:
