@@ -85,12 +85,9 @@ def semidualize(g: LieAlgebra, F: Matrix, lam) -> Bialgebra:
         raise NotAFactorisation(f"factorisation condition fails at {comps}")
     alg = semidual_algebra(g)
     delta = dualco_delta(*dcs_constants(g, F))
-    n2 = alg.dim
-    for i in range(n2):
-        for j in range(n2):
-            for k in range(n2):
-                if delta[i, j, k] != -delta[i, k, j]:
-                    raise AssertionError("cocommutator is not antisymmetric")
+    # a pair of entries that breaks antisymmetry has a nonzero member
+    if any(delta[i, k, j] != -v for i, j, k, v in delta.nonzero()):
+        raise AssertionError("cocommutator is not antisymmetric")
     bad = co_jacobi_violations(alg, delta)
     if bad:
         raise AssertionError(f"co-Jacobi fails at {bad[:3]}")

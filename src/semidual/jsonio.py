@@ -59,7 +59,8 @@ def algebra_from_json(obj, where="algebra") -> LieAlgebra:
     entries = obj.get("f")
     if not isinstance(entries, list):
         raise InputError(f"{where}.f: expected a list of structure-constant entries")
-    cube = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    seen = set()
+    consts = []
     for idx, entry in enumerate(entries):
         loc = f"{where}.f[{idx}]"
         if not isinstance(entry, dict):
@@ -76,12 +77,12 @@ def algebra_from_json(obj, where="algebra") -> LieAlgebra:
         if not a < b:
             raise InputError(f"{loc}: need a < b (a > b entries follow by antisymmetry)")
         v = _rat_field(entry.get("v"), f"{loc}.v")
-        if cube[a][b][c] != 0:
+        if (a, b, c) in seen:
             raise InputError(f"{loc}: duplicate entry for ({a},{b},{c})")
-        cube[a][b][c] = v
-        cube[b][a][c] = -v
+        seen.add((a, b, c))
+        consts += ((a, b, c, v), (b, a, c, -v))
     try:
-        return make_lie_algebra(Tensor3(cube), metric)
+        return make_lie_algebra(Tensor3.sparse(dim, consts), metric)
     except LieAlgebraError as exc:
         raise InputError(f"{where}: not a Lie algebra: {exc}") from exc
 

@@ -8,18 +8,17 @@ Conventions, fixed package-wide:
   * complexify(g, lam) returns the 2n-dim algebra on (J_0..J_{n-1},
     Q_0..Q_{n-1}) with [Q_a, J_b] = f_ab^c Q_c, [Q_a, Q_b] = lam f_ab^c J_c.
     Indices 0..n-1 are J and n..2n-1 are Q; downstream code relies on this.
-  * Code reads f through LieAlgebra.table, the sparse read-only
-    (a, b) -> ((c, f_ab^c), ...) bracket table built once per algebra;
-    every bracket contraction and every derived algebra iterates it
-    instead of probing f at all index triples.
+  * Code reads f through LieAlgebra.table, which is f.table: the sparse
+    read-only (a, b) -> ((c, f_ab^c), ...) map that Tensor3 stores as its
+    only storage, so no algebra builds it twice.  Every bracket contraction
+    and every derived algebra iterates it instead of probing f at all index
+    triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .linalg import DimensionMismatch, Matrix, Tensor3, rat, vec
@@ -64,23 +63,11 @@ def check_antisymmetry(f: Tensor3) -> list[tuple[int, int, int]]:
     )
 
 
-def bracket_table(f: Tensor3) -> Mapping[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
-    """The nonzero structure constants as a read-only (a, b) -> ((c, f_ab^c), ...).
-
-    Pairs with [J_a, J_b] = 0 are absent.  Keys and entries come in index
-    order.
-    """
-    pairs: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for a, b, c, v in f.nonzero():
-        pairs.setdefault((a, b), []).append((c, v))
-    return MappingProxyType({ab: tuple(row) for ab, row in pairs.items()})
-
-
 def check_jacobi(f: Tensor3) -> list[tuple[int, int, int, int, Fraction]]:
     # given antisymmetry, the Jacobi sum is totally antisymmetric in (a,b,c),
     # so a < b < c covers every case
     n = f.dim
-    pairs = bracket_table(f)
+    pairs = f.table
     bad = []
     for a in range(n):
         for b in range(a + 1, n):
@@ -98,7 +85,7 @@ def check_jacobi(f: Tensor3) -> list[tuple[int, int, int, int, Fraction]]:
 
 def check_metric_invariance(f: Tensor3, metric: Matrix) -> list[tuple[int, int, int]]:
     n = f.dim
-    pairs = bracket_table(f)
+    pairs = f.table
     bad = []
     for a in range(n):
         for b in range(n):
@@ -126,11 +113,10 @@ class LieAlgebra:
     f: Tensor3
     metric: Matrix | None = None
 
-    @cached_property
+    @property
     def table(self) -> Mapping[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
-        """bracket_table(f), computed on first use and kept on the instance
-        (outside the dataclass fields, so equality and hashing ignore it)."""
-        return bracket_table(self.f)
+        """The nonzero structure constants, (a, b) -> ((c, f_ab^c), ...): f.table."""
+        return self.f.table
 
     def element(self, coeffs: Sequence) -> tuple[Fraction, ...]:
         x = vec(coeffs)

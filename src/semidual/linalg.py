@@ -1,4 +1,4 @@
-"""Exact rational scalars and small dense matrix / rank-3 tensor containers.
+"""Exact rational scalars, small dense matrices and sparse rank-3 tensors.
 
 Every coefficient in this package is a fractions.Fraction; nothing is ever
 rounded.  Rationals serialize as "p/q" (or "p") strings and are parsed
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Iterable, Sequence
 
 Scalar = Fraction
@@ -412,70 +413,87 @@ def inertia(m: Matrix) -> tuple[int, int, int]:
 
 
 class Tensor3:
-    """Immutable cubical rank-3 tensor of exact rationals, indexed t[i,j,k]."""
+    """Immutable cubical rank-3 tensor of exact rationals, indexed t[i,j,k].
 
-    __slots__ = ("dim", "data")
+    Only the nonzero entries are stored: `table` is the read-only
+    (i, j) -> ((k, t_ijk), ...) map, with the keys and each row's k in index
+    order.  Rows without a nonzero entry are absent.
+    """
+
+    __slots__ = ("dim", "table")
 
     def __init__(self, data: Iterable[Iterable[Iterable]]):
-        cube = tuple(
-            tuple(tuple(rat(v) for v in row) for row in plane) for plane in data
-        )
+        cube = [[[rat(v) for v in row] for row in plane] for plane in data]
         d = len(cube)
         if any(len(plane) != d for plane in cube) or any(
             len(row) != d for plane in cube for row in plane
         ):
             raise DimensionMismatch("tensor is not cubical")
         self.dim = d
-        self.data = cube
-
-    @classmethod
-    def _of(cls, cube: tuple[tuple[tuple[Fraction, ...], ...], ...]) -> "Tensor3":
-        """Wrap a cube that is already a cubical tuple of tuples of tuples of
-        Fractions, with no coercion or shape check."""
-        t = object.__new__(cls)
-        t.dim = len(cube)
-        t.data = cube
-        return t
+        self.table = Tensor3.build(d, lambda i, j, k: cube[i][j][k]).table
 
     @classmethod
     def zeros(cls, dim: int) -> "Tensor3":
-        return cls([[[0] * dim for _ in range(dim)] for _ in range(dim)])
+        return cls.sparse(dim, ())
 
     @classmethod
     def build(cls, dim: int, fn: Callable[[int, int, int], object]) -> "Tensor3":
-        return cls(
-            [
-                [[fn(i, j, k) for k in range(dim)] for j in range(dim)]
+        return cls.sparse(
+            dim,
+            (
+                (i, j, k, fn(i, j, k))
                 for i in range(dim)
-            ]
+                for j in range(dim)
+                for k in range(dim)
+            ),
         )
 
     @classmethod
     def sparse(cls, dim: int, entries: Iterable[tuple[int, int, int, object]]) -> "Tensor3":
         """The tensor whose (i, j, k) entry is the sum of every v listed as
-        (i, j, k, v); entries never listed are zero."""
-        sums: dict[tuple[int, int, int], object] = {}
+        (i, j, k, v); entries never listed are zero.
+
+        This is where every table is built: each v is coerced with rat
+        before it is summed, and exact zeros are dropped.
+        """
+        sums: dict[tuple[int, int, int], Fraction] = {}
         for i, j, k, v in entries:
             key = (i, j, k)
+            v = rat(v)
             sums[key] = sums[key] + v if key in sums else v
-        cube = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+        kept = {}
         for (i, j, k), v in sums.items():
-            cube[i][j][k] = rat(v)
-        return cls._of(tuple(tuple(map(tuple, plane)) for plane in cube))
+            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+                raise IndexError(f"tensor index {(i, j, k)} out of range for dim {dim}")
+            if v:
+                kept[i, j, k] = v
+        rows: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+        for i, j, k in sorted(kept):
+            rows.setdefault((i, j), []).append((k, kept[i, j, k]))
+        t = object.__new__(cls)
+        t.dim = dim
+        t.table = MappingProxyType({ij: tuple(row) for ij, row in rows.items()})
+        return t
 
     def __getitem__(self, key) -> Fraction:
         i, j, k = key
-        return self.data[i][j][k]
+        d = self.dim
+        if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
+            raise IndexError(f"tensor index {key} out of range for dim {d}")
+        for c, v in self.table.get((i, j), ()):
+            if c == k:
+                return v
+        return _ZERO
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Tensor3)
             and self.dim == other.dim
-            and self.data == other.data
+            and self.table == other.table
         )
 
     def __hash__(self) -> int:
-        return hash(self.data)
+        return hash((self.dim, tuple(self.table.items())))
 
     def __repr__(self) -> str:
         nz = self.nonzero()
@@ -488,52 +506,29 @@ class Tensor3:
         if self.dim != other.dim:
             raise DimensionMismatch(f"tensor dims {self.dim} != {other.dim}")
 
-    def _zip(self, other: "Tensor3", op) -> "Tensor3":
-        self._same_dim(other)
-        return Tensor3._of(
-            tuple(
-                tuple(
-                    tuple(op(a, b) for a, b in zip(ra, rb))
-                    for ra, rb in zip(pa, pb)
-                )
-                for pa, pb in zip(self.data, other.data)
-            )
-        )
-
-    def _map(self, op) -> "Tensor3":
-        return Tensor3._of(
-            tuple(tuple(tuple(op(a) for a in row) for row in plane) for plane in self.data)
-        )
-
-    # The element-wise operators do no Fraction arithmetic on an exact zero
-    # operand: the entry is then the other operand (or its negation), which
-    # is the value the arithmetic would give.
-
     def __add__(self, other: "Tensor3") -> "Tensor3":
-        return self._zip(other, lambda a, b: (a + b if a else b) if b else a)
+        self._same_dim(other)
+        return Tensor3.sparse(self.dim, self.nonzero() + other.nonzero())
 
     def __sub__(self, other: "Tensor3") -> "Tensor3":
-        return self._zip(other, lambda a, b: (a - b if a else -b) if b else a)
+        self._same_dim(other)
+        return Tensor3.sparse(
+            self.dim, self.nonzero() + [(i, j, k, -v) for i, j, k, v in other.nonzero()]
+        )
 
     def __neg__(self) -> "Tensor3":
-        return self._map(lambda a: -a if a else a)
+        return Tensor3.sparse(self.dim, [(i, j, k, -v) for i, j, k, v in self.nonzero()])
 
     def __mul__(self, scalar) -> "Tensor3":
         c = rat(scalar)
-        if not c:
-            return Tensor3.sparse(self.dim, ())
-        return self._map(lambda a: c * a if a else a)
+        return Tensor3.sparse(
+            self.dim, [(i, j, k, c * v) for i, j, k, v in self.nonzero()] if c else ()
+        )
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return not any(any(row) for plane in self.data for row in plane)
+        return not self.table
 
     def nonzero(self) -> list[tuple[int, int, int, Fraction]]:
-        return [
-            (i, j, k, v)
-            for i, plane in enumerate(self.data)
-            for j, row in enumerate(plane)
-            for k, v in enumerate(row)
-            if v
-        ]
+        return [(i, j, k, v) for (i, j), row in self.table.items() for k, v in row]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semidual import bialgebra
 from semidual.bialgebra import (
     NotAFactorisation,
     co_jacobi_violations,
@@ -19,7 +20,7 @@ from semidual.bialgebra import (
 )
 from semidual.factorize import dcs_constants
 from semidual.lie import so3, so21
-from semidual.linalg import Matrix
+from semidual.linalg import Matrix, Tensor3
 from semidual.solutions import generalized_kappa
 
 rationals = st.fractions(min_value=-2, max_value=2, max_denominator=2)
@@ -112,6 +113,16 @@ class TestSemidualize:
         for i, j, k, v in bi.delta.nonzero():
             assert bi.delta[i, k, j] == -v
         assert co_jacobi_violations(bi.algebra, bi.delta) == []
+
+    @pytest.mark.parametrize("entries", [
+        [(3, 4, 5, 1)],  # partner entry absent
+        [(3, 4, 5, 1), (3, 5, 4, 1)],  # partner present with the wrong sign
+        [(0, 1, 5, 2), (0, 5, 1, Fraction(-3, 2))],  # partner present with the wrong value
+    ])
+    def test_non_antisymmetric_cocommutator_raises(self, monkeypatch, lorentz, entries):
+        monkeypatch.setattr(bialgebra, "dualco_delta", lambda gt, lt: Tensor3.sparse(6, entries))
+        with pytest.raises(AssertionError, match="cocommutator is not antisymmetric"):
+            semidualize(lorentz, Matrix.identity(3), 1)
 
 
 class TestRMatrix:

@@ -118,8 +118,7 @@ class TestClassifyCanonical:
         assert cl.a_zero
 
     def test_jacobi_guard(self):
-        bad = Tensor3.zeros(3).data
-        cube = [[list(r) for r in p] for p in bad]
+        cube = [[[0] * 3 for _ in range(3)] for _ in range(3)]
         cube[0][1][0] = 1
         cube[1][0][0] = -1
         cube[1][2][1] = 1

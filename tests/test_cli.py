@@ -107,6 +107,21 @@ class TestVerify:
         assert code == 2
         assert field in err
 
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_duplicate_after_zero_entry_exit_two(self, capsys, tmp_path, identity_file, command):
+        # an earlier "v": "0" entry for the same (a, b, c) must not hide the duplicate
+        entry = {"a": 0, "b": 1, "c": 2}
+        p = tmp_path / "dup_algebra.json"
+        p.write_text(json.dumps({
+            **HEISENBERG, "f": [{**entry, "v": "0"}, {**entry, "v": "1"}, {**entry, "v": "1"}],
+        }))
+        argv = [command, "--algebra", str(p)]
+        if command == "verify":
+            argv += ["--lambda", "0", "--f", identity_file]
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert ".f[1]" in err and "duplicate" in err
+
     def test_deterministic_output(self, capsys, identity_file):
         argv = ["verify", "--algebra", "so21", "--lambda", "1", "--f", identity_file]
         _, first, _ = run(capsys, argv)

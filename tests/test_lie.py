@@ -49,8 +49,7 @@ class TestConstruction:
 
     def test_two_step_solvable_algebra_valid(self):
         # [e1, e2] = e1 only: every Jacobi triple vanishes
-        f = Tensor3.zeros(3)
-        cube = [[list(row) for row in plane] for plane in f.data]
+        cube = [[[0] * 3 for _ in range(3)] for _ in range(3)]
         cube[0][1][0] = Fraction(1)
         cube[1][0][0] = Fraction(-1)
         g = make_lie_algebra(Tensor3(cube))

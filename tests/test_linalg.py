@@ -267,7 +267,8 @@ def all_fractions(values) -> bool:
 
 
 def tensor_entries(t: Tensor3):
-    return [v for plane in t.data for row in plane for v in row]
+    n = range(t.dim)
+    return [t[i, j, k] for i in n for j in n for k in n]
 
 
 class TestSparseApply:
@@ -325,7 +326,8 @@ class TestElementwiseArithmetic:
 
     def check_public(self, t: Tensor3):
         assert all_fractions(tensor_entries(t))
-        public = Tensor3([[list(row) for row in plane] for plane in t.data])
+        n = range(t.dim)
+        public = Tensor3([[[t[i, j, k] for k in n] for j in n] for i in n])
         assert t == public and hash(t) == hash(public)
 
     def test_tensor_operators(self):
@@ -378,5 +380,86 @@ def test_sparse_coerces_listed_values():
     t = Tensor3.sparse(2, [(0, 1, 0, 1), (1, 0, 0, "2/5"), (1, 1, 1, -1), (1, 1, 1, Fraction(1, 3))])
     assert t.nonzero() == [(0, 1, 0, 1), (1, 0, 0, Fraction(2, 5)), (1, 1, 1, Fraction(-2, 3))]
     assert all_fractions(tensor_entries(t))
+    # each listed value is coerced before summing: "1" + "2" must not concatenate
+    assert Tensor3.sparse(1, [(0, 0, 0, "1"), (0, 0, 0, "2")]).nonzero() == [(0, 0, 0, 3)]
     with pytest.raises(TypeError):
         Tensor3.sparse(2, [(0, 0, 0, True)])
+    with pytest.raises(TypeError):
+        Tensor3.sparse(2, [(0, 0, 0, 1), (0, 0, 0, True)])
+
+
+def check_storage(t: Tensor3):
+    """The stored table holds only nonzero entries, in index order, and
+    nonzero() is what a dense scan through t[i, j, k] finds."""
+    keys = list(t.table)
+    assert keys == sorted(set(keys))
+    for row in t.table.values():
+        ks = [k for k, _ in row]
+        assert row and ks == sorted(set(ks))
+        assert all(type(v) is Fraction and v != 0 for _, v in row)
+    n = range(t.dim)
+    dense = [(i, j, k, t[i, j, k]) for i in n for j in n for k in n]
+    assert t.nonzero() == [e for e in dense if e[3] != 0]
+    assert t.is_zero() == (not t.nonzero())
+
+
+class TestSparseStorage:
+    """Tensor3 stores only its nonzero entries, as (i, j) -> ((k, v), ...)."""
+
+    def test_no_zero_is_ever_stored(self):
+        rng = random.Random(11)
+        s = sparse_tensor(rng, 3, 0.5)
+        assert not s.is_zero()
+        cancelled = Tensor3.sparse(2, [(0, 1, 0, 1), (1, 1, 1, "1/2"), (0, 1, 0, -1), (1, 1, 1, "-1/2")])
+        public_zero = Tensor3([[[0, "0"], [Fraction(0), "0/3"]], [[0, 0], [0, 0]]])
+        for t in (s - s, 0 * s, s * "0", cancelled, public_zero, Tensor3.build(2, lambda i, j, k: 0)):
+            check_storage(t)
+            assert not t.table and t.is_zero()
+        partial = Tensor3.sparse(2, [(0, 1, 0, 1), (0, 1, 0, -1), (0, 1, 1, 3)])
+        check_storage(partial)
+        assert dict(partial.table) == {(0, 1): ((1, 3),)}
+
+    def test_all_constructions_agree(self):
+        rng = random.Random(12)
+        for dim in (1, 2, 4):
+            for share in (0, 0.7, 1):
+                vals = planted_zeros(rng, dim ** 3, share)
+                n = range(dim)
+                cube = [[[vals[(i * dim + j) * dim + k] for k in n] for j in n] for i in n]
+                entries = [(i, j, k, cube[i][j][k]) for i in n for j in n for k in n]
+                rng.shuffle(entries)
+                halves = [(i, j, k, v / 2) for i, j, k, v in entries] * 2
+                rng.shuffle(halves)
+                zero = Tensor3.zeros(dim)
+                built = [
+                    Tensor3(cube),
+                    Tensor3.build(dim, lambda i, j, k: cube[i][j][k]),
+                    Tensor3.sparse(dim, entries),
+                    Tensor3.sparse(dim, halves),
+                    Tensor3(cube) + zero,
+                    zero + Tensor3(cube),
+                    Tensor3(cube) - zero,
+                    -(zero - Tensor3(cube)),
+                    1 * Tensor3(cube),
+                ]
+                for t in built:
+                    check_storage(t)
+                    assert t == built[0] and hash(t) == hash(built[0])
+
+    def test_index_out_of_range(self):
+        t = Tensor3.sparse(3, [(0, 1, 2, 1)])
+        assert t[0, 1, 2] == 1 and t[2, 1, 0] == 0
+        for key in ((3, 0, 0), (0, 3, 0), (0, 0, 3), (-1, 0, 0), (0, -1, 1), (0, 1, -1)):
+            with pytest.raises(IndexError):
+                t[key]
+        for key in ((0, 0, 3), (0, -1, 0)):
+            with pytest.raises(IndexError):
+                Tensor3.sparse(3, [(*key, 1)])
+
+    def test_table_is_read_only(self):
+        t = Tensor3.sparse(2, [(0, 1, 0, 1)])
+        with pytest.raises(TypeError):
+            t.table[0, 1] = ((1, Fraction(1)),)
+        with pytest.raises(TypeError):
+            t.table[1, 1] = ((0, Fraction(1)),)
+        assert dict(t.table) == {(0, 1): ((0, 1),)}
