@@ -232,18 +232,20 @@ def mcybe_matrix_residual(g: LieAlgebra, R: Matrix, lam) -> Tensor3:
                    + R^b_e R^d_a f_bd^c + lam f_ea^c.
     """
     lam = rat(lam)
-    n = g.dim
+    rrows, rcols = R.row_nonzeros(), R.transpose().row_nonzeros()
     entries = []
     for (x, y), row in g.table.items():
         for z, v in row:
             entries.append((x, y, z, lam * v))  # lam f_ea^c
-            for p in range(n):
-                for q in range(n):
-                    t = R[x, p] * R[q, z] * v
+            for p, rxp in rrows[x]:
+                u = rxp * v
+                for q, rqz in rcols[z]:
+                    t = u * rqz
                     entries.append((y, p, q, t))  # R^b_a R^c_d f_be^d
                     entries.append((p, y, q, -t))  # -R^b_e R^c_d f_ba^d
-                    entries.append((p, q, z, R[x, p] * R[y, q] * v))  # R^b_e R^d_a f_bd^c
-    return Tensor3.sparse(n, entries)
+                for q, ryq in rrows[y]:
+                    entries.append((p, q, z, u * ryq))  # R^b_e R^d_a f_bd^c
+    return Tensor3.sparse(g.dim, entries)
 
 
 def mcybe_check(alg: LieAlgebra, r: RMatrix, lam) -> Tensor3:

@@ -173,13 +173,4 @@ def canonical_representatives() -> dict[str, LieAlgebra]:
 
 def change_basis(g: LieAlgebra, A: Matrix) -> LieAlgebra:
     """Structure constants in the basis J'_a = A[b][a] J_b (A invertible)."""
-    ainv = A.inverse()
-    n = g.dim
-    entries = []
-    for (d, e), row in g.table.items():
-        for x, v in row:
-            for a in range(n):
-                for b in range(n):
-                    t = A[d, a] * A[e, b] * v
-                    entries += ((a, b, c, t * ainv[c, x]) for c in range(n))
-    return make_lie_algebra(Tensor3.sparse(n, entries))
+    return make_lie_algebra(g.f.change_basis(A, A.inverse()))

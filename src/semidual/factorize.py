@@ -126,68 +126,49 @@ def basis_change_matrix(F: Matrix) -> Matrix:
 
 
 def verify_closure_in_complexification(g: LieAlgebra, F: Matrix, lam) -> DoubleCrossSum:
-    """Build g_lam, change basis to (J, Q'), and recompute every bracket.
+    """Build g_lam and rewrite its structure constants in the (J, Q') basis
+    by one sparse change of basis, with the generic inverse of the
+    basis-change matrix.
 
     The J-part of [Q'_a, Q'_b] in the new basis is the factorisation
     residual; if it is nonzero the generators do not close and
-    ClosureFailure lists its first components.  Otherwise the brackets
-    computed directly in the new basis must match
-    [J,J] = f J, [Q'_a, J_b] = f_ab^c Q'_c + L_ab^c J_c,
-    [Q'_a, Q'_b] = g_ab^c Q'_c with the tensors from dcs_constants; a
-    mismatch raises InternalMismatch (two independent code paths).
+    ClosureFailure lists its first components.  Otherwise the new constants
+    must equal [J,J] = f J, [Q'_a, J_b] = f_ab^c Q'_c + L_ab^c J_c,
+    [Q'_a, Q'_b] = g_ab^c Q'_c with the tensors from dcs_constants; the
+    first bracket pair (i, j) where they differ raises InternalMismatch
+    (two independent code paths).
     """
     _check_square(g, F)
     n = g.dim
-    glam = lie.complexify(g, lam)
     B = basis_change_matrix(F)
-    Binv = B.inverse()
-    newbasis = [B.col(i) for i in range(2 * n)]
-    direct = [
-        [Binv.apply(glam.bracket(newbasis[i], newbasis[j])) for j in range(2 * n)]
-        for i in range(2 * n)
-    ]
+    direct = lie.complexify(g, lam).f.change_basis(B, B.inverse())
 
     resid = [
-        (a, b, c, v)
-        for a in range(n)
-        for b in range(n)
-        for c, v in enumerate(direct[n + a][n + b][:n])
-        if v != 0
+        (i - n, j - n, c, v) for i, j, c, v in direct.nonzero() if i >= n and j >= n and c < n
     ]
     if resid:
         comps = ", ".join(f"[{a},{b}]->J_{c}: {v}" for a, b, c, v in resid[:6])
         raise ClosureFailure(f"factorisation condition fails; nonzero residual at {comps}")
 
     gt, lt = dcs_constants(g, F)
+    entries = [(n + a, n + b, n + c, v) for a, b, c, v in gt.nonzero()]
+    for a, b, c, v in g.f.nonzero():
+        entries += ((a, b, c, v), (n + a, b, n + c, v), (b, n + a, n + c, -v))
+    for a, b, c, v in lt.nonzero():
+        entries += ((n + a, b, c, v), (b, n + a, c, -v))
+    expected = Tensor3.sparse(2 * n, entries)
 
-    def expected(i, j):
-        out = [Fraction(0)] * (2 * n)
-        if i < n and j < n:
-            for c in range(n):
-                out[c] = g.f[i, j, c]
-        elif i >= n and j < n:
-            a, b = i - n, j
-            for c in range(n):
-                out[n + c] = g.f[a, b, c]
-                out[c] = lt[a, b, c]
-        elif i < n and j >= n:
-            a, b = j - n, i
-            for c in range(n):
-                out[n + c] = -g.f[a, b, c]
-                out[c] = -lt[a, b, c]
-        else:
-            a, b = i - n, j - n
-            for c in range(n):
-                out[n + c] = gt[a, b, c]
-        return tuple(out)
-
-    for i in range(2 * n):
-        for j in range(2 * n):
-            if direct[i][j] != expected(i, j):
-                raise InternalMismatch(
-                    f"bracket of new basis vectors {i},{j}: direct {direct[i][j]} != "
-                    f"structure-constant form {expected(i, j)}"
-                )
+    if direct != expected:
+        i, j = min(
+            ij
+            for ij in direct.table.keys() | expected.table.keys()
+            if direct.table.get(ij) != expected.table.get(ij)
+        )
+        pair = lambda t: tuple(t[i, j, c] for c in range(2 * n))
+        raise InternalMismatch(
+            f"bracket of new basis vectors {i},{j}: direct {pair(direct)} != "
+            f"structure-constant form {pair(expected)}"
+        )
 
     m_algebra = make_lie_algebra(gt)
     return DoubleCrossSum(gt, lt, m_algebra, B)

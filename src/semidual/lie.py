@@ -65,41 +65,35 @@ def check_antisymmetry(f: Tensor3) -> list[tuple[int, int, int]]:
 
 def check_jacobi(f: Tensor3) -> list[tuple[int, int, int, int, Fraction]]:
     # given antisymmetry, the Jacobi sum is totally antisymmetric in (a,b,c),
-    # so a < b < c covers every case
-    n = f.dim
-    pairs = f.table
-    bad = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                acc = [Fraction(0)] * n
-                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    for d, v in pairs.get((x, y), ()):
-                        for e, w in pairs.get((d, z), ()):
-                            acc[e] += v * w
-                for e in range(n):
-                    if acc[e] != 0:
-                        bad.append((a, b, c, e, acc[e]))
-    return bad
+    # so a < b < c covers every case: the terms [[J_x,J_y],J_z] reached
+    # through the table are summed on the sorted triple (a,b,c) and e, for
+    # the cyclic orderings (x,y,z) of a < b < c only
+    rows_from: dict[int, list] = {}
+    for (d, z), row in f.table.items():
+        rows_from.setdefault(d, []).append((z, row))
+    sums: dict[tuple[int, int, int, int], Fraction] = {}
+    for (x, y), row in f.table.items():
+        for d, v in row:
+            for z, inner in rows_from.get(d, ()):
+                if x < y < z or y < z < x or z < x < y:
+                    abc = tuple(sorted((x, y, z)))
+                    for e, w in inner:
+                        key = abc + (e,)
+                        sums[key] = sums[key] + v * w if key in sums else v * w
+    return [key + (s,) for key, s in sorted(sums.items()) if s]
 
 
 def check_metric_invariance(f: Tensor3, metric: Matrix) -> list[tuple[int, int, int]]:
-    n = f.dim
-    pairs = f.table
-    bad = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                r = sum(
-                    (v * metric[d, c] for d, v in pairs.get((a, b), ())),
-                    Fraction(0),
-                ) + sum(
-                    (v * metric[b, d] for d, v in pairs.get((a, c), ())),
-                    Fraction(0),
-                )
-                if r != 0:
-                    bad.append((a, b, c))
-    return bad
+    """(a, b, c) where <[J_a,J_b],J_c> + <J_b,[J_a,J_c]> = f_ab^d eta_dc +
+    f_ac^d eta_bd is nonzero, in index order; each table row is paired with
+    the metric's nonzeros."""
+    mrows, mcols = metric.row_nonzeros(), metric.transpose().row_nonzeros()
+    entries = []
+    for (a, b), row in f.table.items():
+        for d, v in row:
+            entries += ((a, b, c, v * m) for c, m in mrows[d])  # f_ab^d eta_dc
+            entries += ((a, e, b, v * m) for e, m in mcols[d])  # f_ac^d eta_bd, row (a, c)
+    return [(a, b, c) for a, b, c, _ in Tensor3.sparse(f.dim, entries).nonzero()]
 
 
 @dataclass(frozen=True)
@@ -126,12 +120,17 @@ class LieAlgebra:
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
         xs, ys = self.element(x), self.element(y)
+        table = self.table
         out = [Fraction(0)] * self.dim
-        for (a, b), entries in self.table.items():
-            if xs[a] and ys[b]:
-                xy = xs[a] * ys[b]
-                for c, v in entries:
-                    out[c] += v * xy
+        ysupport = [(b, w) for b, w in enumerate(ys) if w]
+        for a, u in enumerate(xs):
+            if u:
+                for b, w in ysupport:
+                    entries = table.get((a, b))
+                    if entries:
+                        xy = u * w
+                        for c, v in entries:
+                            out[c] += v * xy
         return tuple(out)
 
     def inner(self, x: Sequence, y: Sequence) -> Fraction:

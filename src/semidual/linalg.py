@@ -230,6 +230,10 @@ class Matrix:
             if v
         ]
 
+    def row_nonzeros(self) -> list[list[tuple[int, Fraction]]]:
+        """The nonzero entries of each row i, as [(j, M[i, j]), ...]."""
+        return [[(j, v) for j, v in enumerate(row) if v] for row in self.data]
+
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a non-square matrix")
@@ -526,6 +530,29 @@ class Tensor3:
         )
 
     __rmul__ = __mul__
+
+    def change_basis(self, A: Matrix, ainv: Matrix) -> "Tensor3":
+        """Components in the basis J'_a = A^d_a J_d, given ainv = A^-1 (not
+        checked): t'_ab^c = A^d_a A^e_b t_de^x (A^-1)^c_x.  One index is
+        summed at a time, over the previous step's nonzeros and those of
+        ainv's columns resp. A's rows, so the cost follows the nonzeros."""
+        n = self.dim
+        for m in (A, ainv):
+            if m.rows != n or m.cols != n:
+                raise DimensionMismatch(f"{m.rows}x{m.cols} basis change for tensor dim {n}")
+        arows, icols = A.row_nonzeros(), ainv.transpose().row_nonzeros()
+        upper = Tensor3.sparse(n, (
+            (d, e, c, v * w)
+            for (d, e), row in self.table.items()
+            for x, v in row
+            for c, w in icols[x]
+        ))
+        second = Tensor3.sparse(n, (
+            (d, b, c, w * v) for d, e, c, v in upper.nonzero() for b, w in arows[e]
+        ))
+        return Tensor3.sparse(n, (
+            (a, b, c, w * v) for d, b, c, v in second.nonzero() for a, w in arows[d]
+        ))
 
     def is_zero(self) -> bool:
         return not self.table

@@ -3,10 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from semidual import factorize
 from semidual.bianchi import classify
-from semidual.factorize import verify_closure_in_complexification
+from semidual.factorize import (
+    ClosureFailure,
+    DoubleCrossSum,
+    InternalMismatch,
+    basis_change_matrix,
+    verify_closure_in_complexification,
+)
 from semidual.linalg import Matrix, Tensor3, rat, vec
-from semidual.lie import so3, so21
+from semidual.lie import complexify, make_lie_algebra, so3, so21
 
 
 @pytest.fixture(scope="session")
@@ -215,3 +222,102 @@ def dense_dualco(gt: Tensor3, lt: Tensor3) -> Tensor3:
         return Fraction(0)
 
     return Tensor3.build(2 * n, fn)
+
+
+def dense_jacobi(f: Tensor3):
+    """(a, b, c, e, J) for every nonzero e-component J of the Jacobi sum over
+    the cyclic orderings of each a < b < c, scanning every triple and e."""
+    n = f.dim
+    pairs = f.table
+    bad = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                acc = [Fraction(0)] * n
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for d, v in pairs.get((x, y), ()):
+                        for e, w in pairs.get((d, z), ()):
+                            acc[e] += v * w
+                for e in range(n):
+                    if acc[e] != 0:
+                        bad.append((a, b, c, e, acc[e]))
+    return bad
+
+
+def dense_metric_invariance(f: Tensor3, metric: Matrix):
+    """Every (a, b, c) with f_ab^d eta_dc + f_ac^d eta_bd != 0."""
+    n = f.dim
+    pairs = f.table
+    bad = []
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                r = sum(
+                    (v * metric[d, c] for d, v in pairs.get((a, b), ())),
+                    Fraction(0),
+                ) + sum(
+                    (v * metric[b, d] for d, v in pairs.get((a, c), ())),
+                    Fraction(0),
+                )
+                if r != 0:
+                    bad.append((a, b, c))
+    return bad
+
+
+def dense_closure(g, F, lam):
+    """The closure one bracket at a time: every [B e_i, B e_j] of g_lam,
+    mapped back by B^-1, checked against the double-cross-sum brackets built
+    from factorize.dcs_constants."""
+    n = g.dim
+    glam = complexify(g, lam)
+    B = basis_change_matrix(F)
+    Binv = B.inverse()
+    newbasis = [B.col(i) for i in range(2 * n)]
+    direct = [
+        [Binv.apply(glam.bracket(newbasis[i], newbasis[j])) for j in range(2 * n)]
+        for i in range(2 * n)
+    ]
+
+    resid = [
+        (a, b, c, v)
+        for a in range(n)
+        for b in range(n)
+        for c, v in enumerate(direct[n + a][n + b][:n])
+        if v != 0
+    ]
+    if resid:
+        comps = ", ".join(f"[{a},{b}]->J_{c}: {v}" for a, b, c, v in resid[:6])
+        raise ClosureFailure(f"factorisation condition fails; nonzero residual at {comps}")
+
+    gt, lt = factorize.dcs_constants(g, F)
+
+    def expected(i, j):
+        out = [Fraction(0)] * (2 * n)
+        if i < n and j < n:
+            for c in range(n):
+                out[c] = g.f[i, j, c]
+        elif i >= n and j < n:
+            a, b = i - n, j
+            for c in range(n):
+                out[n + c] = g.f[a, b, c]
+                out[c] = lt[a, b, c]
+        elif i < n and j >= n:
+            a, b = j - n, i
+            for c in range(n):
+                out[n + c] = -g.f[a, b, c]
+                out[c] = -lt[a, b, c]
+        else:
+            a, b = i - n, j - n
+            for c in range(n):
+                out[n + c] = gt[a, b, c]
+        return tuple(out)
+
+    for i in range(2 * n):
+        for j in range(2 * n):
+            if direct[i][j] != expected(i, j):
+                raise InternalMismatch(
+                    f"bracket of new basis vectors {i},{j}: direct {direct[i][j]} != "
+                    f"structure-constant form {expected(i, j)}"
+                )
+
+    return DoubleCrossSum(gt, lt, make_lie_algebra(gt), B)

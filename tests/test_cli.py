@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,22 @@ class TestVerify:
         code, _, err = run(capsys, argv)
         assert code == 2
         assert ".f[1]" in err and "duplicate" in err
+
+    def test_large_empty_algebra_rejected_quickly(self, capsys, tmp_path):
+        # Jacobi and antisymmetry over an empty table cost nothing; a loop
+        # over all n^3 index triples would take tens of seconds here before
+        # the dimension check is reached
+        alg, fmap = tmp_path / "abelian150.json", tmp_path / "identity6.json"
+        alg.write_text(json.dumps({"dim": 150, "f": []}))
+        fmap.write_text(json.dumps(
+            {"matrix": [["1" if i == j else "0" for j in range(6)] for i in range(6)]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, [
+            "verify", "--algebra", str(alg), "--lambda", "1", "--f", str(fmap),
+        ])
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert "is 6x6 but algebra dim is 150" in err
 
     def test_deterministic_output(self, capsys, identity_file):
         argv = ["verify", "--algebra", "so21", "--lambda", "1", "--f", identity_file]

@@ -10,15 +10,20 @@ import random
 
 import pytest
 
+from semidual import factorize
 from conftest import (
     dense_ad,
+    dense_apply,
     dense_bracket,
     dense_change_basis,
+    dense_closure,
     dense_coboundary,
     dense_complexify,
     dense_dcs,
     dense_dualco,
+    dense_jacobi,
     dense_mcybe_matrix,
+    dense_metric_invariance,
     dense_omega,
     dense_schouten,
     dense_semidual,
@@ -37,8 +42,25 @@ from semidual.bialgebra import (
     semidual_algebra,
 )
 from semidual.bianchi import LABELS, canonical_representatives, change_basis
-from semidual.factorize import dcs_constants
-from semidual.lie import complexify, make_lie_algebra, so3, so21
+from semidual.factorize import (
+    ClosureFailure,
+    InternalMismatch,
+    basis_change_matrix,
+    dcs_constants,
+    verify_closure_in_complexification,
+)
+from semidual.lie import (
+    JacobiViolation,
+    MetricNotInvariant,
+    check_jacobi,
+    check_metric_invariance,
+    complexify,
+    make_lie_algebra,
+    so3,
+    so21,
+)
+from semidual.linalg import DimensionMismatch, Matrix, Tensor3
+from semidual.solutions import standard_sweep
 
 CASES = [f"bianchi-{label}" for label in LABELS] + [
     f"so21-lambda{lam}" for lam in (-1, 0, 4)
@@ -156,3 +178,248 @@ class TestTableHeldOnTheAlgebra:
         assert g1.table
         assert g1 == g2 and hash(g1) == hash(g2)
         assert {g1: "so21"}[g2] == "so21"
+
+
+def block_sum(rng, blocks):
+    """Direct sum of so3 / so21 blocks, each with its constants scaled by a
+    random nonzero rational, and the diagonal metric of the blocks."""
+    entries, metric = [], []
+    for k, base in enumerate(blocks):
+        o, scale = 3 * k, rng_rat(rng) or 1
+        entries += [(o + a, o + b, o + c, scale * v) for a, b, c, v in base.f.nonzero()]
+        metric += [base.metric[i, i] for i in range(3)]
+    return make_lie_algebra(Tensor3.sparse(3 * len(blocks), entries), Matrix.diagonal(metric))
+
+
+def block_diagonal(rng, k):
+    """A random 3k x 3k matrix that is zero outside its 3 x 3 diagonal blocks."""
+    blocks = [rng_matrix(rng) for _ in range(k)]
+    return Matrix.build(3 * k, 3 * k, lambda i, j: (
+        blocks[i // 3][i % 3, j % 3] if i // 3 == j // 3 else 0))
+
+
+BLOCK_SUMS = {
+    "dim6": lambda: (so3(), so21()),
+    "dim9": lambda: (so21(), so3(), so21()),
+}
+
+
+@pytest.fixture(params=sorted(BLOCK_SUMS))
+def blocks(request):
+    rng = random.Random(request.param)
+    return block_sum(rng, BLOCK_SUMS[request.param]()), rng
+
+
+def bracketwise_change_basis(g, A: Matrix) -> Tensor3:
+    """f'_ab^c as the components of A^-1 [A e_a, A e_b], one dense bracket
+    at a time."""
+    ainv, r = A.inverse(), range(g.dim)
+    cols = [A.col(a) for a in r]
+    return Tensor3([[dense_apply(ainv, dense_bracket(g, cols[a], cols[b])) for b in r] for a in r])
+
+
+class TestChangeBasisKernel:
+    """Tensor3.change_basis against the dense four-index sum."""
+
+    def test_block_sums(self, blocks):
+        # the n^6 dense sum is run at dim 6 only; A^-1 [A e_a, A e_b] at both
+        g, rng = blocks
+        maps = [rng_invertible(rng, g.dim), block_diagonal(rng, g.dim // 3) + Matrix.identity(g.dim)]
+        if g.dim == 6:
+            maps.append(basis_change_matrix(rng_matrix(rng)))
+        for A in maps:
+            got = g.f.change_basis(A, A.inverse())
+            assert got == bracketwise_change_basis(g, A)
+            if g.dim == 6:
+                assert got == dense_change_basis(g.f, A)
+
+    @pytest.mark.parametrize("make,lam", [(so3, -4), (so21, 1)])
+    def test_basis_change_matrix_on_complexification(self, make, lam):
+        rng = random.Random(f"{make.__name__}{lam}")
+        f = complexify(make(), lam).f
+        for F in (rng_matrix(rng), Matrix.diagonal(rng_vec(rng))):
+            B = basis_change_matrix(F)
+            assert f.change_basis(B, B.inverse()) == dense_change_basis(f, B)
+
+    def test_identity_and_shape(self):
+        f = complexify(so3(), 4).f
+        eye = Matrix.identity(6)
+        assert f.change_basis(eye, eye) == f
+        with pytest.raises(DimensionMismatch):
+            f.change_basis(Matrix.identity(3), Matrix.identity(3))
+        with pytest.raises(DimensionMismatch):
+            f.change_basis(eye, Matrix.identity(3))
+
+
+def planted(f: Tensor3, rng, count=3) -> Tensor3:
+    """f with `count` antisymmetric pairs f_ab^c = -f_ba^c moved by a
+    random nonzero rational: still antisymmetric, generally not Jacobi."""
+    n, extra = f.dim, []
+    for _ in range(count):
+        a, b = sorted(rng.sample(range(n), 2))
+        c, v = rng.randrange(n), rng_rat(rng) or 1
+        extra += [(a, b, c, v), (b, a, c, -v)]
+    return Tensor3.sparse(n, f.nonzero() + extra)
+
+
+class TestChecksMatchDenseLoops:
+    """check_jacobi and check_metric_invariance run over the table; the
+    dense loops scan every index.  The lists, so the first reported index
+    tuple too, must be identical."""
+
+    def test_jacobi_on_valid_algebras(self, case):
+        g, _ = case
+        assert check_jacobi(g.f) == dense_jacobi(g.f) == []
+
+    def test_jacobi_on_canonical_representatives(self):
+        for rep in canonical_representatives().values():
+            assert check_jacobi(rep.f) == dense_jacobi(rep.f) == []
+
+    def test_planted_jacobi_violations(self, case):
+        g, rng = case
+        failures = 0
+        for _ in range(6):
+            f = planted(g.f, rng)
+            bad = dense_jacobi(f)
+            assert check_jacobi(f) == bad
+            if bad:
+                failures += 1
+                with pytest.raises(JacobiViolation) as exc:
+                    make_lie_algebra(f)
+                assert exc.value.indices == bad[0][:4]
+                assert exc.value.residual == bad[0][4]
+        assert failures
+
+    def test_jacobi_without_antisymmetry(self, blocks):
+        # classify calls check_jacobi without the antisymmetry check first
+        g, rng = blocks
+        n = g.dim
+        for _ in range(4):
+            f = Tensor3.sparse(n, [
+                (rng.randrange(n), rng.randrange(n), rng.randrange(n), rng_rat(rng))
+                for _ in range(3 * n)
+            ])
+            assert check_jacobi(f) == dense_jacobi(f)
+
+    def test_metric_on_valid_algebras(self, blocks):
+        g, _ = blocks
+        for alg in (g, so3(), so21()):
+            assert check_metric_invariance(alg.f, alg.metric) == []
+            assert dense_metric_invariance(alg.f, alg.metric) == []
+
+    def assert_same_violations(self, f, metric):
+        bad = dense_metric_invariance(f, metric)
+        assert check_metric_invariance(f, metric) == bad
+        if bad and metric.det():
+            with pytest.raises(MetricNotInvariant) as exc:
+                make_lie_algebra(f, metric)
+            assert exc.value.indices == bad[0]
+        return bad
+
+    def test_one_block_metric_flipped(self, blocks):
+        g, _ = blocks
+        flipped = Matrix.diagonal([-g.metric[0, 0]] + [g.metric[i, i] for i in range(1, g.dim)])
+        assert self.assert_same_violations(g.f, flipped)
+
+    def test_random_symmetric_metrics(self, case):
+        g, rng = case
+        found = []
+        for _ in range(3):
+            m = rng_matrix(rng, g.dim)
+            found += self.assert_same_violations(g.f, m + m.transpose())
+        assert found or not g.table
+
+
+def closure_outcome(fn, g, F, lam):
+    """What the closure returns, or the type and message of what it raises."""
+    try:
+        dcs = fn(g, F, lam)
+    except (ClosureFailure, InternalMismatch) as exc:
+        return type(exc), str(exc)
+    return dcs.g_tensor, dcs.l_tensor, dcs.m_algebra, dcs.basis_change
+
+
+class TestClosureMatchesBracketGrid:
+    """The closure as one sparse change of basis against the (2n)^2 grid of
+    single brackets it replaced."""
+
+    def test_random_maps(self, case):
+        g, rng = case
+        failures = 0
+        for lam in (-1, 0, rng_rat(rng)):
+            F = rng_matrix(rng, g.dim)
+            got = closure_outcome(verify_closure_in_complexification, g, F, lam)
+            assert got == closure_outcome(dense_closure, g, F, lam)
+            failures += got[0] is ClosureFailure
+        assert failures or not g.table  # every F closes on an abelian algebra
+
+    @pytest.mark.parametrize("F_scale,lam", [(1, 1), (0, 0)])
+    def test_solutions_on_any_algebra(self, case, F_scale, lam):
+        # F = id solves the condition at lambda = 1, F = 0 at lambda = 0
+        g, _ = case
+        F = F_scale * Matrix.identity(g.dim)
+        got = closure_outcome(verify_closure_in_complexification, g, F, lam)
+        assert got == closure_outcome(dense_closure, g, F, lam)
+        assert got[0] is not ClosureFailure
+
+    def test_sweep_solutions(self, euclid, lorentz):
+        rng = random.Random("sweep")
+        for inst in rng.sample(list(standard_sweep(euclid, lorentz)), 12):
+            args = inst.algebra, inst.F, inst.lam
+            got = closure_outcome(verify_closure_in_complexification, *args)
+            assert got == closure_outcome(dense_closure, *args)
+            assert got[0] is not ClosureFailure
+
+    @pytest.mark.parametrize("which", ["g", "L"])
+    def test_planted_mismatch(self, case, monkeypatch, which):
+        g, rng = case
+        n = g.dim
+        real = factorize.dcs_constants
+        for _ in range(3):
+            a, b, c = (rng.randrange(n) for _ in range(3))
+
+            def perturbed(g_, F_):
+                gt, lt = real(g_, F_)
+                bump = Tensor3.sparse(n, [(a, b, c, 1)])
+                return (gt + bump, lt) if which == "g" else (gt, lt + bump)
+
+            with monkeypatch.context() as m:
+                m.setattr(factorize, "dcs_constants", perturbed)
+                F = Matrix.identity(n)
+                got = closure_outcome(verify_closure_in_complexification, g, F, 1)
+                assert got == closure_outcome(dense_closure, g, F, 1)
+            i, j = (n + a, n + b) if which == "g" else (b, n + a)
+            assert got[0] is InternalMismatch
+            assert got[1].startswith(f"bracket of new basis vectors {i},{j}: ")
+
+
+class TestMcybeMatrixOnSparseR:
+    """mcybe_matrix_residual takes p and q from R's nonzero rows and
+    columns only; the dense formula sums every (b, d)."""
+
+    def sparse_maps(self, rng, n):
+        """Zero, rank one, three single entries, block diagonal."""
+        u, v = rng_vec(rng, n), rng_vec(rng, n)
+        u = tuple(x if i % 2 else 0 for i, x in enumerate(u))
+        yield Matrix.zeros(n)
+        yield Matrix.build(n, n, lambda i, j: u[i] * v[j])
+        for _ in range(3):
+            i, j = rng.randrange(n), rng.randrange(n)
+            yield Matrix.build(n, n, lambda r, s: (rng_rat(rng) or 1) if (r, s) == (i, j) else 0)
+        yield block_diagonal(rng, n // 3)
+
+    def test_block_sums(self, blocks):
+        # the dense n^5 sum is slow at dim 9: there only the block-diagonal map
+        g, rng = blocks
+        maps = list(self.sparse_maps(rng, g.dim))
+        for R in maps if g.dim == 6 else maps[-1:]:
+            lam = rng_rat(rng)
+            assert mcybe_matrix_residual(g, R, lam) == dense_mcybe_matrix(g, R, lam)
+
+    @pytest.mark.parametrize("make", [so3, so21])
+    def test_three_dimensional(self, make):
+        g = make()
+        rng = random.Random(make.__name__)
+        for R in self.sparse_maps(rng, 3):
+            for lam in (0, -1, rng_rat(rng)):
+                assert mcybe_matrix_residual(g, R, lam) == dense_mcybe_matrix(g, R, lam)
