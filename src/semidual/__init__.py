@@ -25,7 +25,6 @@ from .factorize import (
     verify_closure_in_complexification,
 )
 from .bialgebra import (
-    Bialgebra,
     RMatrix,
     coboundary_delta,
     mcybe_check,
@@ -33,7 +32,6 @@ from .bialgebra import (
     r_matrix,
     schouten,
     semidual_algebra,
-    semidualize,
 )
 from .solutions import (
     Family,
@@ -58,8 +56,8 @@ __all__ = [
     "DoubleCrossSum", "SVSplit", "adjugate", "dcs_constants",
     "factorization_check", "lemma_kernel_checks", "projected_equations",
     "quadratic_condition", "split_sv", "verify_closure_in_complexification",
-    "Bialgebra", "RMatrix", "coboundary_delta", "mcybe_check", "omega",
-    "r_matrix", "schouten", "semidual_algebra", "semidualize",
+    "RMatrix", "coboundary_delta", "mcybe_check", "omega",
+    "r_matrix", "schouten", "semidual_algebra",
     "Family", "SolutionInstance", "double_solution", "generalized_kappa",
     "kappa_solution", "large_jordan", "light_jordan", "rank_one", "rho_theta",
     "small_jordan", "standard_sweep", "zero_solution",

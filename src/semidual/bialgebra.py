@@ -21,13 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .factorize import dcs_constants, factorization_check
 from .lie import LieAlgebra, make_lie_algebra
 from .linalg import DimensionMismatch, Matrix, Tensor3, rat
-
-
-class NotAFactorisation(ValueError):
-    pass
 
 
 def semidual_algebra(g: LieAlgebra) -> LieAlgebra:
@@ -46,7 +41,8 @@ def semidual_algebra(g: LieAlgebra) -> LieAlgebra:
 
 def dualco_delta(gt: Tensor3, lt: Tensor3) -> Tensor3:
     """Cocommutator tensor of the semidual, from the double-cross-sum
-    tensors (g_ab^c, L_ab^c) of dcs_constants.
+    tensors (g_ab^c, L_ab^c) of dcs_constants, with the dual pairing
+    P^a(Q'_b) = delta^a_b.
 
     Defined for any F; it is a Lie cobracket (co-Jacobi) exactly when F
     satisfies the factorisation condition.
@@ -61,37 +57,6 @@ def dualco_delta(gt: Tensor3, lt: Tensor3) -> Tensor3:
     for a, b, c, v in gt.nonzero():
         entries.append((n + c, n + a, n + b, v))  # delta(P^c) has g_ab^c P^a (x) P^b
     return Tensor3.sparse(2 * n, entries)
-
-
-@dataclass(frozen=True)
-class Bialgebra:
-    """Semidual Lie bialgebra: the (J, P) algebra plus its cocommutator,
-    stored as delta[i][j][k] with delta(e_i) = delta[i][j][k] e_j (x) e_k."""
-
-    algebra: LieAlgebra
-    delta: Tensor3
-
-
-def semidualize(g: LieAlgebra, F: Matrix, lam) -> Bialgebra:
-    """Construct the semidual bialgebra of the decomposition defined by F.
-
-    Requires the factorisation residual to vanish.  The dual pairing
-    convention is P^a(Q'_b) = delta^a_b.  Antisymmetry and co-Jacobi of the
-    cocommutator are asserted.
-    """
-    resid = factorization_check(g, F, lam)
-    if not resid.is_zero():
-        comps = ", ".join(f"[{a},{b}]->J_{c}: {v}" for a, b, c, v in resid.nonzero()[:6])
-        raise NotAFactorisation(f"factorisation condition fails at {comps}")
-    alg = semidual_algebra(g)
-    delta = dualco_delta(*dcs_constants(g, F))
-    # a pair of entries that breaks antisymmetry has a nonzero member
-    if any(delta[i, k, j] != -v for i, j, k, v in delta.nonzero()):
-        raise AssertionError("cocommutator is not antisymmetric")
-    bad = co_jacobi_violations(alg, delta)
-    if bad:
-        raise AssertionError(f"co-Jacobi fails at {bad[:3]}")
-    return Bialgebra(alg, delta)
 
 
 def co_jacobi_violations(alg: LieAlgebra, delta: Tensor3) -> list[tuple]:
@@ -207,21 +172,17 @@ def schouten(alg: LieAlgebra, r: RMatrix) -> Tensor3:
     n2 = alg.dim
     if r.tensor.rows != n2:
         raise DimensionMismatch("r-matrix does not live on the algebra's space")
-    rnz = r.tensor.nonzero()
-    table = alg.table
+    rows, cols = r.tensor.row_nonzeros(), r.tensor.transpose().row_nonzeros()
     entries = []
-    for a, j, va in rnz:
-        for b, k, vb in rnz:
-            for c, cv in table.get((a, b), ()):
-                entries.append((c, j, k, va * vb * cv))  # [r12, r13]
-    for i, a, va in rnz:
-        for b, k, vb in rnz:
-            for c, cv in table.get((a, b), ()):
-                entries.append((i, c, k, va * vb * cv))  # [r12, r23]
-    for i, a, va in rnz:
-        for j, b, vb in rnz:
-            for c, cv in table.get((a, b), ()):
-                entries.append((i, j, c, va * vb * cv))  # [r13, r23]
+    for (a, b), row in alg.table.items():
+        for c, cv in row:
+            for j, ra in rows[a]:
+                u = ra * cv
+                entries += ((c, j, k, u * rb) for k, rb in rows[b])  # [r12, r13]
+            for i, ra in cols[a]:
+                u = ra * cv
+                entries += ((i, c, k, u * rb) for k, rb in rows[b])  # [r12, r23]
+                entries += ((i, j, c, u * rb) for j, rb in cols[b])  # [r13, r23]
     return Tensor3.sparse(n2, entries)
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: verification pipeline, family generation,
-classification, and the summary-table reproduction.
+classification, the summary-table reproduction and the family sweep.
 
-Subcommands: verify, family, semidual, classify, table1, selftest.
+Subcommands: verify, family, semidual, classify, table1, sweep, selftest.
+verify, family, semidual, table1 and sweep all run build_report.
 Exit codes: 0 all checks pass, 1 a check fails, 2 malformed input.
 All output is deterministic and uses exact "p/q" rationals.
 """
@@ -12,13 +13,14 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bialgebra, bianchi, factorize, jsonio, lie, solutions
 from .jsonio import InputError
 from .lie import LieAlgebra
-from .linalg import Matrix, rat
+from .linalg import Matrix, Tensor3, rat
 from .solutions import ConstraintViolation, Family, SolutionInstance
 
 
@@ -53,8 +55,9 @@ class Check:
 
 @dataclass
 class VerificationReport:
-    """Everything cmd_verify / cmd_family print: the echoed input, one exact
-    residual summary per check, the m-algebra, Bianchi type and r-matrix."""
+    """Everything the subcommands print: the echoed input, one exact residual
+    summary per check (factorisation first), the m-algebra, Bianchi type,
+    r-matrix, semidual algebra and its cocommutator."""
 
     algebra_name: str
     algebra: LieAlgebra
@@ -63,7 +66,9 @@ class VerificationReport:
     checks: list[Check]
     m_brackets: list[str] | None
     classification: bianchi.Classification | None
-    r_coeffs: Matrix
+    r: bialgebra.RMatrix
+    semidual: LieAlgebra
+    delta: Tensor3
 
     @property
     def passed(self) -> bool:
@@ -87,7 +92,9 @@ def build_report(name: str, g: LieAlgebra, F: Matrix, lam: Fraction) -> Verifica
     """Run every stage of the pipeline once on (g, F, lam).
 
     The closure runs only when the factorisation residual vanishes; its
-    double-cross-sum tensors then also feed the cocommutator.
+    double-cross-sum tensors then also feed the cocommutator.  The 3d
+    quadratic and projected forms run only on so(3) and so(2,1), the
+    algebras they are derived for.
     """
     checks: list[Check] = []
     fact = factorize.factorization_check(g, F, lam)
@@ -105,7 +112,7 @@ def build_report(name: str, g: LieAlgebra, F: Matrix, lam: Fraction) -> Verifica
     else:
         gt, lt = factorize.dcs_constants(g, F)
 
-    if g.dim == 3 and g.metric is not None:
+    if g.dim == 3 and g in lie.isometry_algebras():
         quad = factorize.quadratic_condition(F, g, lam)
         checks.append(Check("quadratic matrix form", quad.is_zero(),
                             jsonio.matrix_components(quad)))
@@ -124,7 +131,8 @@ def build_report(name: str, g: LieAlgebra, F: Matrix, lam: Fraction) -> Verifica
     checks.append(Check("mCYBE [[r,r]] + lambda Omega (tensor and matrix paths)",
                         mcybe.is_zero(), jsonio.tensor_components(mcybe)))
 
-    agree = bialgebra.dualco_delta(gt, lt) - bialgebra.coboundary_delta(sd_alg, r)
+    delta = bialgebra.dualco_delta(gt, lt)
+    agree = delta - bialgebra.coboundary_delta(sd_alg, r)
     checks.append(Check("cocommutator agreement (semidual vs coboundary)",
                         agree.is_zero(), jsonio.tensor_components(agree)))
 
@@ -142,7 +150,8 @@ def build_report(name: str, g: LieAlgebra, F: Matrix, lam: Fraction) -> Verifica
         ] or ["all Q' commute (abelian m)"]
         if g.dim == 3:
             classification = bianchi.classify(dcs.m_algebra)
-    return VerificationReport(name, g, F, lam, checks, m_brackets, classification, F)
+    return VerificationReport(name, g, F, lam, checks, m_brackets, classification,
+                              r, sd_alg, delta)
 
 
 def _metric_str(g: LieAlgebra) -> str:
@@ -176,7 +185,7 @@ def _print_report(rep: VerificationReport):
         h = "-" if cl.h is None else str(cl.h)
         print(f"bianchi type: {cl.label} (h = {h})")
     print("r-matrix coefficients R[b][a] (r = R^b_a P^a ^ J_b):")
-    _print_matrix(rep.r_coeffs)
+    _print_matrix(rep.r.coeffs)
     print(f"overall: {'PASS' if rep.passed else 'FAIL'}")
 
 
@@ -191,7 +200,7 @@ def _report_json(rep: VerificationReport) -> dict:
             for c in rep.checks
         ],
         "m_brackets": rep.m_brackets,
-        "r_matrix": jsonio.rmatrix_to_json(rep.r_coeffs),
+        "r_matrix": jsonio.rmatrix_to_json(rep.r.coeffs),
         "pass": rep.passed,
     }
     if rep.classification is not None:
@@ -211,11 +220,15 @@ def _classification_json(cl: bianchi.Classification) -> dict:
     }
 
 
-def cmd_verify(args) -> int:
+def _load_inputs(args) -> tuple[str, LieAlgebra, Matrix, Fraction]:
+    """The --algebra, --f and --lambda of verify and semidual."""
     name, g = jsonio.load_algebra(args.algebra)
     F = jsonio.fmap_from_json(jsonio.load_json_file(args.f), g.dim, where=str(args.f))
-    lam = _parse_rat(args.lam, "--lambda")
-    rep = build_report(name, g, F, lam)
+    return name, g, F, _parse_rat(args.lam, "--lambda")
+
+
+def cmd_verify(args) -> int:
+    rep = build_report(*_load_inputs(args))
     if args.json:
         print(json.dumps(_report_json(rep), indent=2, sort_keys=True))
     else:
@@ -236,8 +249,8 @@ _FAMILY_DESCRIPTIONS = {
 
 
 def _build_family(args) -> SolutionInstance:
-    metric = args.metric
-    g = lie.so3() if metric == "euclidean" else lie.so21()
+    e, l = lie.isometry_algebras()
+    g = e if args.metric == "euclidean" else l
     fam = args.family
 
     def need(flag, name):
@@ -321,41 +334,46 @@ def cmd_family(args) -> int:
 
 
 def cmd_semidual(args) -> int:
-    name, g = jsonio.load_algebra(args.algebra)
-    F = jsonio.fmap_from_json(jsonio.load_json_file(args.f), g.dim, where=str(args.f))
-    lam = _parse_rat(args.lam, "--lambda")
-    try:
-        bi = bialgebra.semidualize(g, F, lam)
-    except bialgebra.NotAFactorisation as exc:
-        print(f"FAIL: {exc}")
+    rep = build_report(*_load_inputs(args))
+    fact = rep.checks[0]
+    if not fact.passed:
+        comps = ", ".join(f"[{c['i']},{c['j']}]->J_{c['k']}: {c['v']}"
+                          for c in fact.components[:6])
+        print(f"FAIL: factorisation condition fails at {comps}")
         return 1
-    r = bialgebra.r_matrix(F)
-    n = g.dim
+    delta = rep.delta
+    # a pair of entries that breaks antisymmetry has a nonzero member
+    if any(delta[i, k, j] != -v for i, j, k, v in delta.nonzero()):
+        raise AssertionError("cocommutator is not antisymmetric")
+    bad = bialgebra.co_jacobi_violations(rep.semidual, delta)
+    if bad:
+        raise AssertionError(f"co-Jacobi fails at {bad[:3]}")
+    n = rep.algebra.dim
     names = [f"J_{a}" for a in range(n)] + [f"P^{a}" for a in range(n)]
     if args.json:
         obj = {
-            "algebra_name": name,
-            "lambda": str(lam),
-            "commutators": jsonio.tensor_components(bi.algebra.f),
-            "delta": jsonio.tensor_components(bi.delta),
-            "r_matrix": jsonio.rmatrix_to_json(r.coeffs),
-            "r_tensor": jsonio.matrix_components(r.tensor),
+            "algebra_name": rep.algebra_name,
+            "lambda": str(rep.lam),
+            "commutators": jsonio.tensor_components(rep.semidual.f),
+            "delta": jsonio.tensor_components(delta),
+            "r_matrix": jsonio.rmatrix_to_json(rep.r.coeffs),
+            "r_tensor": jsonio.matrix_components(rep.r.tensor),
             "basis": names,
         }
         print(json.dumps(obj, indent=2, sort_keys=True))
-        return 0
-    print(f"semidual bialgebra of {name} with lambda = {lam}")
-    print(f"basis: {', '.join(names)} (indices 0..{2 * n - 1})")
-    print("nonzero commutators:")
-    for i, j, k, v in bi.algebra.f.nonzero():
-        if i < j:
-            print(f"  [{names[i]},{names[j]}] += {v} {names[k]}")
-    print("cocommutator delta(e_i) = delta[i][j][k] e_j (x) e_k, nonzero:")
-    for i, j, k, v in bi.delta.nonzero():
-        print(f"  delta({names[i]})[{names[j]} (x) {names[k]}] = {v}")
-    print("r-matrix coefficients R[b][a]:")
-    _print_matrix(r.coeffs)
-    return 0
+    else:
+        print(f"semidual bialgebra of {rep.algebra_name} with lambda = {rep.lam}")
+        print(f"basis: {', '.join(names)} (indices 0..{2 * n - 1})")
+        print("nonzero commutators:")
+        for i, j, k, v in rep.semidual.f.nonzero():
+            if i < j:
+                print(f"  [{names[i]},{names[j]}] += {v} {names[k]}")
+        print("cocommutator delta(e_i) = delta[i][j][k] e_j (x) e_k, nonzero:")
+        for i, j, k, v in delta.nonzero():
+            print(f"  delta({names[i]})[{names[j]} (x) {names[k]}] = {v}")
+        print("r-matrix coefficients R[b][a]:")
+        _print_matrix(rep.r.coeffs)
+    return 0 if rep.passed else 1
 
 
 def cmd_classify(args) -> int:
@@ -392,8 +410,7 @@ _M_NAMES = {
 def _table1_rows():
     """One representative per summary-table row, both signatures where
     applicable; (row label, instance factory, expected type)."""
-    e, l = lie.so3(), lie.so21()
-    half = Fraction(1, 2)
+    e, l = lie.isometry_algebras()
     return [
         ("F = 0", "euclidean", solutions.zero_solution(e, 0), "I"),
         ("F = 0", "lorentzian", solutions.zero_solution(l, 0), "I"),
@@ -420,13 +437,21 @@ def _r_matrix_formula(inst: SolutionInstance) -> str:
     return _linear_combo([(v, f"P^{a}^J_{b}") for b, a, v in inst.F.nonzero()])
 
 
+def _classify_instance(name: str, inst: SolutionInstance, expected: str):
+    """Run build_report on inst; return the Bianchi label of its factor
+    algebra (None if the factorisation fails) and whether every check passed
+    with that label equal to expected."""
+    rep = build_report(name, inst.algebra, inst.F, inst.lam)
+    label = rep.classification.label if rep.classification else None
+    return label, rep.passed and label == expected
+
+
 def cmd_table1(args) -> int:
     rows = []
     failures = []
     for label, sig, inst, expected in _table1_rows():
-        rep = build_report(sig, inst.algebra, inst.F, inst.lam)
-        computed = rep.classification.label if rep.classification else "?"
-        ok = rep.passed and computed == expected
+        computed, ok = _classify_instance(sig, inst, expected)
+        computed = computed or "?"
         if not ok:
             failures.append(f"{label} [{sig}]")
         rows.append((label, sig, str(inst.lam), _r_matrix_formula(inst),
@@ -459,10 +484,34 @@ def cmd_table1(args) -> int:
     return 1 if failures else 0
 
 
-def _selftest_suites():
-    from .lie import so21, so3
+def cmd_sweep(args) -> int:
+    """Every solution-family instance of the standard parameter grid through
+    build_report, one line each, then a Bianchi-type census; stops at the
+    first instance that fails a check or has an unexpected type."""
+    census = Counter()
+    sweep = solutions.standard_sweep(*lie.isometry_algebras(),
+                                     include_rank_one=not args.skip_rank_one)
+    for inst in sweep:
+        euclid = inst.algebra.metric == lie.EUCLIDEAN_METRIC
+        expected = inst.expected_bianchi.label
+        label, ok = _classify_instance("so3" if euclid else "so21", inst, expected)
+        label = label or "-"
+        census[label] += 1
+        params = ", ".join(
+            f"{k}=({','.join(str(x) for x in v)})" if isinstance(v, tuple) else f"{k}={v}"
+            for k, v in inst.params.items())
+        desc = (f"{inst.family.value:13s} {'euclidean' if euclid else 'lorentzian':10s} "
+                f"lambda={str(inst.lam):4s} {params}")
+        print(f"{desc:70s} -> {label:4s} (expected {expected:4s}) {'ok' if ok else 'MISMATCH'}")
+        if not ok:
+            return 1
+    print()
+    print("bianchi census:", dict(sorted(census.items())))
+    return 0
 
-    e, l = so3(), so21()
+
+def _selftest_suites():
+    e, l = lie.isometry_algebras()
     rng = random.Random(20130824)
 
     def rrat():
@@ -629,6 +678,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table1)
 
+    p = sub.add_parser("sweep", help="run every solution family over the standard grid")
+    p.add_argument("--skip-rank-one", action="store_true",
+                   help="restrict to the families of the summary table")
+    p.set_defaults(func=cmd_sweep)
+
     p = sub.add_parser("selftest", help="run the identity and property suites")
     p.set_defaults(func=cmd_selftest)
 
@@ -643,9 +697,6 @@ def main(argv=None) -> int:
     except (InputError, ConstraintViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (factorize.ClosureFailure, bialgebra.NotAFactorisation) as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .lie import LieAlgebra, LieAlgebraError, make_lie_algebra, so21, so3
+from .lie import LieAlgebra, LieAlgebraError, isometry_algebras, make_lie_algebra
 from .linalg import Matrix, Tensor3, rat
 
 
@@ -138,9 +138,9 @@ def matrix_components(m: Matrix) -> list[dict]:
 
 def builtin_algebra(name: str) -> LieAlgebra | None:
     if name == "so3":
-        return so3()
+        return isometry_algebras()[0]
     if name == "so21":
-        return so21()
+        return isometry_algebras()[1]
     return None
 
 

@@ -17,6 +17,7 @@ Conventions, fixed package-wide:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -220,6 +221,12 @@ def so3() -> LieAlgebra:
 def so21() -> LieAlgebra:
     """[J_a, J_b] = eps_abc J^c with Lorentzian metric diag(1,-1,-1)."""
     return _isometry_algebra(LORENTZIAN_METRIC)
+
+
+@functools.cache
+def isometry_algebras() -> tuple[LieAlgebra, LieAlgebra]:
+    """(so3(), so21()), built once per process and shared (both are immutable)."""
+    return so3(), so21()
 
 
 def is_lorentzian(g: LieAlgebra) -> bool:

@@ -321,7 +321,7 @@ def _row_reduce(rows: list[list[Fraction]], stop_col: int | None = None):
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+                rows[i] = [v - f * w if w else v for v, w in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import strategies as st
 
 from semidual import bialgebra
 from semidual.bialgebra import (
-    NotAFactorisation,
     co_jacobi_violations,
     coboundary_delta,
     dualco_delta,
@@ -16,9 +16,9 @@ from semidual.bialgebra import (
     r_matrix,
     schouten,
     semidual_algebra,
-    semidualize,
 )
-from semidual.factorize import dcs_constants
+from semidual.cli import build_report, main
+from semidual.factorize import dcs_constants, factorization_check
 from semidual.lie import so3, so21
 from semidual.linalg import Matrix, Tensor3
 from semidual.solutions import generalized_kappa
@@ -82,47 +82,84 @@ class TestSemidualAlgebra:
                     assert sd.f[a, b, c] == lorentz.f[a, b, c]
 
 
+def semidual_delta(g, F):
+    return dualco_delta(*dcs_constants(g, F))
+
+
+@pytest.fixture
+def run_semidual(tmp_path, capsys):
+    """`semidual semidual --algebra so21 --f F --lambda lam`: (exit code, stdout)."""
+    def run(F, lam, *extra):
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps({"matrix": [[str(v) for v in row] for row in F.data]}))
+        code = main(["semidual", "--algebra", "so21", "--f", str(p), "--lambda", str(lam), *extra])
+        return code, capsys.readouterr().out
+    return run
+
+
 class TestSemidualize:
+    """The semidual bialgebra: build_report's cocommutator, and the checks
+    `semidual semidual` makes on it before printing."""
+
     def test_trivial_cocommutator(self, euclid):
-        bi = semidualize(euclid, Matrix.zeros(3), 0)
-        assert bi.delta.is_zero()
+        assert semidual_delta(euclid, Matrix.zeros(3)).is_zero()
+        assert build_report("so3", euclid, Matrix.zeros(3), 0).delta.is_zero()
 
     def test_poincare_double(self, lorentz):
         # F = id, lambda = 1: delta(P^a) = 2 eps_cb^a P^c (x) P^b, delta(J) = 0
-        bi = semidualize(lorentz, Matrix.identity(3), 1)
+        delta = build_report("so21", lorentz, Matrix.identity(3), 1).delta
+        assert delta == semidual_delta(lorentz, Matrix.identity(3))
         for a in range(3):
-            assert all(v == 0 for _, __, ___, v in bi.delta.nonzero() if _ == a)
+            assert all(v == 0 for _, __, ___, v in delta.nonzero() if _ == a)
             for c in range(3):
                 for b in range(3):
-                    assert bi.delta[3 + a, 3 + c, 3 + b] == 2 * lorentz.f[c, b, a]
+                    assert delta[3 + a, 3 + c, 3 + b] == 2 * lorentz.f[c, b, a]
 
     def test_kappa_has_delta_on_both(self, lorentz):
         inst = generalized_kappa(lorentz, (1, 0, 0), 0, 1, -1)
-        bi = semidualize(lorentz, inst.F, -1)
-        j_part = [x for x in bi.delta.nonzero() if x[0] < 3]
-        p_part = [x for x in bi.delta.nonzero() if x[0] >= 3]
+        delta = semidual_delta(lorentz, inst.F)
+        j_part = [x for x in delta.nonzero() if x[0] < 3]
+        p_part = [x for x in delta.nonzero() if x[0] >= 3]
         assert j_part and p_part
-
-    def test_rejects_non_factorisation(self, lorentz):
-        with pytest.raises(NotAFactorisation):
-            semidualize(lorentz, Matrix.identity(3), 0)
 
     def test_antisymmetry_and_cojacobi(self, lorentz):
         inst = generalized_kappa(lorentz, (0, 1, 0), 2, 1, 1)
-        bi = semidualize(lorentz, inst.F, 1)
-        for i, j, k, v in bi.delta.nonzero():
-            assert bi.delta[i, k, j] == -v
-        assert co_jacobi_violations(bi.algebra, bi.delta) == []
+        delta = semidual_delta(lorentz, inst.F)
+        for i, j, k, v in delta.nonzero():
+            assert delta[i, k, j] == -v
+        assert co_jacobi_violations(semidual_algebra(lorentz), delta) == []
+
+    def test_emits_the_cocommutator_of_a_solution(self, run_semidual, lorentz):
+        inst = generalized_kappa(lorentz, (0, 1, 0), 2, 1, 1)
+        code, out = run_semidual(inst.F, 1)
+        assert code == 0
+        delta = semidual_delta(lorentz, inst.F)
+        assert out.count("  delta(") == len(delta.nonzero()) > 0
+
+    def test_rejects_non_factorisation(self, run_semidual, lorentz):
+        code, out = run_semidual(Matrix.identity(3), 0)
+        assert code == 1
+        resid = factorization_check(lorentz, Matrix.identity(3), 0).nonzero()
+        comps = ", ".join(f"[{a},{b}]->J_{c}: {v}" for a, b, c, v in resid[:6])
+        assert out == f"FAIL: factorisation condition fails at {comps}\n"
 
     @pytest.mark.parametrize("entries", [
         [(3, 4, 5, 1)],  # partner entry absent
         [(3, 4, 5, 1), (3, 5, 4, 1)],  # partner present with the wrong sign
         [(0, 1, 5, 2), (0, 5, 1, Fraction(-3, 2))],  # partner present with the wrong value
     ])
-    def test_non_antisymmetric_cocommutator_raises(self, monkeypatch, lorentz, entries):
+    def test_non_antisymmetric_cocommutator_raises(self, monkeypatch, run_semidual, entries):
         monkeypatch.setattr(bialgebra, "dualco_delta", lambda gt, lt: Tensor3.sparse(6, entries))
         with pytest.raises(AssertionError, match="cocommutator is not antisymmetric"):
-            semidualize(lorentz, Matrix.identity(3), 1)
+            run_semidual(Matrix.identity(3), 1)
+
+    def test_co_jacobi_violation_raises(self, monkeypatch, run_semidual, lorentz):
+        # an antisymmetric cocommutator that is no Lie cobracket: the one of a
+        # non-factorising F, reported for the solution F = id at lambda = 1
+        bad = semidual_delta(lorentz, Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]]))
+        monkeypatch.setattr(bialgebra, "dualco_delta", lambda gt, lt: bad)
+        with pytest.raises(AssertionError, match="co-Jacobi fails at"):
+            run_semidual(Matrix.identity(3), 1)
 
 
 class TestRMatrix:
@@ -230,8 +267,6 @@ class TestMcybe:
     @given(matrices, st.sampled_from([-1, 0, 1]))
     @settings(max_examples=25, deadline=None)
     def test_mcybe_iff_factorisation(self, F, lam):
-        from semidual.factorize import factorization_check
-
         for g in (so3(), so21()):
             sd = semidual_algebra(g)
             mc = mcybe_check(sd, r_matrix(F), lam).is_zero()
@@ -252,14 +287,14 @@ class TestCocommutatorAgreement:
     def test_specific_double(self, lorentz):
         sd = semidual_algebra(lorentz)
         F = Matrix.identity(3)
-        bi = semidualize(lorentz, F, 1)
-        assert bi.delta == coboundary_delta(sd, r_matrix(F))
+        rep = build_report("so21", lorentz, F, 1)
+        assert rep.delta == coboundary_delta(sd, r_matrix(F))
 
     def test_specific_genkappa(self, euclid):
         inst = generalized_kappa(euclid, (1, 0, 0), 2, 1, -1)
         sd = semidual_algebra(euclid)
-        bi = semidualize(euclid, inst.F, -1)
-        assert bi.delta == coboundary_delta(sd, r_matrix(inst.F))
+        rep = build_report("so3", euclid, inst.F, -1)
+        assert rep.delta == coboundary_delta(sd, r_matrix(inst.F))
 
 
 class TestGeneralDimension:
@@ -274,8 +309,8 @@ class TestGeneralDimension:
         assert mcybe_check(sd, r, 1).is_zero()
         assert not mcybe_check(sd, r, 0).is_zero()
         assert dualco_delta(*dcs_constants(g6, f6)) == coboundary_delta(sd, r)
-        bi = semidualize(g6, f6, 1)
-        assert bi.algebra.dim == 12
+        rep = build_report("g6", g6, f6, 1)
+        assert rep.passed and rep.semidual == sd and rep.semidual.dim == 12
 
 
 class TestCoJacobi:

@@ -1,18 +1,15 @@
 import json
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from semidual import factorize
+from semidual import bialgebra, factorize, jsonio, lie
 from semidual.cli import build_report, main
 from semidual.linalg import Matrix
 from semidual.solutions import generalized_kappa
 
 GOLDEN = Path(__file__).parent / "golden"
-SWEEP_SCRIPT = Path(__file__).parent.parent / "scripts" / "sweep_families.py"
 
 IDENTITY = {"matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
 
@@ -157,6 +154,64 @@ class TestVerify:
         assert all(c["pass"] for c in obj["checks"])
 
 
+class TestThreeDimensionalForms:
+    """The quadratic and projected forms are derived for so(3) and so(2,1)
+    only; other 3d algebras with a metric get the generic checks."""
+
+    ABELIAN = {"dim": 3, "metric": ["1", "1", "1"], "f": []}
+
+    @pytest.fixture
+    def abelian_file(self, tmp_path):
+        p = tmp_path / "abelian.json"
+        p.write_text(json.dumps(self.ABELIAN))
+        return str(p)
+
+    @pytest.mark.parametrize("lam", ["0", "1"])
+    @pytest.mark.parametrize("matrix", [
+        IDENTITY["matrix"],
+        [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]],  # not S + ad_V
+    ])
+    def test_abelian_metric_algebra_passes(self, capsys, tmp_path, abelian_file, matrix, lam):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({"matrix": matrix}))
+        for command in ("verify", "semidual"):
+            code, out, err = run(capsys, [
+                command, "--algebra", abelian_file, "--f", str(f), "--lambda", lam,
+            ])
+            assert code == 0 and err == ""
+        code, out, _ = run(capsys, [
+            "verify", "--algebra", abelian_file, "--f", str(f), "--lambda", lam, "--json",
+        ])
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        assert names == [
+            "factorisation (closure of Q')",
+            "mCYBE [[r,r]] + lambda Omega (tensor and matrix paths)",
+            "cocommutator agreement (semidual vs coboundary)",
+        ]
+
+    @pytest.mark.parametrize("name", ["so3", "so21"])
+    def test_isometry_algebra_from_file_runs_them(self, capsys, tmp_path, identity_file, name):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(jsonio.algebra_to_json(jsonio.builtin_algebra(name))))
+        _, builtin, _ = run(capsys, ["verify", "--algebra", name, "--f", identity_file,
+                                     "--lambda", "1"])
+        _, from_file, _ = run(capsys, ["verify", "--algebra", str(p), "--f", identity_file,
+                                       "--lambda", "1"])
+        assert "check quadratic matrix form: PASS" in from_file
+        assert from_file.replace(str(p), name) == builtin
+
+    def test_reference_algebras_built_once(self, monkeypatch, capsys, identity_file):
+        assert lie.isometry_algebras() is lie.isometry_algebras()
+        calls = []
+        for name in ("so3", "so21"):
+            monkeypatch.setattr(lie, name, lambda _name=name: calls.append(_name))
+        for alg in ("so3", "so21"):
+            run(capsys, ["verify", "--algebra", alg, "--f", identity_file, "--lambda", "1"])
+        run(capsys, ["family", "--family", "zero", "--lambda", "0"])
+        run(capsys, ["table1"])
+        assert calls == []
+
+
 class TestFamily:
     def test_double_emits_f(self, capsys, tmp_path):
         out_file = tmp_path / "F.json"
@@ -223,21 +278,25 @@ class TestSemidual:
         ])
         assert code == 0
         assert "delta(P^0)" in out
+        assert out == (GOLDEN / "semidual_so21_identity_lambda1.txt").read_text()
 
     def test_not_a_factorisation_exit_one(self, capsys, identity_file):
         code, out, _ = run(capsys, [
             "semidual", "--algebra", "so21", "--lambda", "0", "--f", identity_file,
         ])
         assert code == 1
+        assert out == (GOLDEN / "semidual_so21_identity_lambda0.txt").read_text()
 
     def test_json(self, capsys, identity_file):
         code, out, _ = run(capsys, [
             "semidual", "--algebra", "so21", "--lambda", "1", "--f", identity_file,
             "--json",
         ])
+        assert code == 0
         obj = json.loads(out)
         assert obj["r_matrix"]["R"] == IDENTITY["matrix"]
         assert any(c["v"] == "2" for c in obj["delta"])
+        assert out == (GOLDEN / "semidual_so21_identity_lambda1.json").read_text()
 
 
 class TestClassify:
@@ -326,13 +385,63 @@ class TestBuildReportRunsEachStageOnce:
         with pytest.raises(factorize.InternalMismatch):
             build_report("so21", lorentz, Matrix.identity(3), 1)
 
+    BIALGEBRA_STAGES = ("semidual_algebra", "r_matrix", "dualco_delta")
 
-class TestSweepScript:
-    def test_skip_rank_one_runs_clean(self):
-        proc = subprocess.run(
-            [sys.executable, str(SWEEP_SCRIPT), "--skip-rank-one"],
-            capture_output=True, text=True, timeout=600,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "MISMATCH" not in proc.stdout
-        assert "bianchi census:" in proc.stdout
+    def count_bialgebra_stages(self, monkeypatch):
+        counts = dict.fromkeys(self.BIALGEBRA_STAGES, 0)
+        for name in self.BIALGEBRA_STAGES:
+            def counted(*args, _name=name, _fn=getattr(bialgebra, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(bialgebra, name, counted)
+        return counts
+
+    def test_semidual_subcommand(self, monkeypatch, capsys, identity_file):
+        counts = self.count_stages(monkeypatch)
+        bi_counts = self.count_bialgebra_stages(monkeypatch)
+        code, _, _ = run(capsys, [
+            "semidual", "--algebra", "so21", "--lambda", "1", "--f", identity_file,
+        ])
+        assert code == 0
+        assert counts == dict.fromkeys(self.STAGES, 1)
+        assert bi_counts == dict.fromkeys(self.BIALGEBRA_STAGES, 1)
+
+    def test_semidual_subcommand_failing_f(self, monkeypatch, capsys, identity_file):
+        counts = self.count_stages(monkeypatch)
+        code, _, _ = run(capsys, [
+            "semidual", "--algebra", "so21", "--lambda", "0", "--f", identity_file,
+        ])
+        assert code == 1
+        assert counts == {"factorization_check": 1, "dcs_constants": 1,
+                          "verify_closure_in_complexification": 0}
+
+
+class TestSweep:
+    @pytest.mark.parametrize("argv, golden", [
+        (["sweep", "--skip-rank-one"], "sweep_skip_rank_one.txt"),
+        (["sweep"], "sweep.txt"),
+    ])
+    def test_golden(self, capsys, argv, golden):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert "MISMATCH" not in out
+        assert out == (GOLDEN / golden).read_text()
+
+    def test_stops_at_first_mismatch(self, monkeypatch, capsys):
+        # a failing instance ends the sweep with exit 1 after its line
+        real = build_report
+        seen = []
+
+        def fail_third(name, g, F, lam):
+            rep = real(name, g, F, lam)
+            seen.append(rep)
+            if len(seen) == 3:
+                rep.checks[0].passed = False
+            return rep
+
+        monkeypatch.setattr("semidual.cli.build_report", fail_third)
+        code, out, _ = run(capsys, ["sweep"])
+        lines = out.splitlines()
+        assert code == 1 and len(lines) == 3
+        assert lines[:2] == (GOLDEN / "sweep.txt").read_text().splitlines()[:2]
+        assert lines[2].endswith(" MISMATCH")
