@@ -18,6 +18,7 @@ where C are the structure constants of the 2n-dim semidual algebra.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,19 +94,13 @@ class RMatrix:
 
 
 def r_matrix(F: Matrix) -> RMatrix:
-    """The classical r-matrix of the semidual: r = F^b_a P^a /\\ J_b."""
+    """The classical r-matrix of the semidual: r = F^b_a P^a /\\ J_b, whose
+    2n x 2n tensor is [[0, -F], [F^T, 0]] on (J, P)."""
     if F.rows != F.cols:
         raise DimensionMismatch("r-matrix coefficients must be square")
-    n = F.rows
-
-    def fn(i, j):
-        if i >= n and j < n:
-            return F[j, i - n]
-        if i < n and j >= n:
-            return -F[i, j - n]
-        return Fraction(0)
-
-    return RMatrix(F, Matrix.build(2 * n, 2 * n, fn))
+    zero = (Fraction(0),) * F.rows
+    top = [zero + tuple(-v for v in row) for row in F.data]
+    return RMatrix(F, Matrix(top + [col + zero for col in F.transpose().data]))
 
 
 def coboundary_delta(alg: LieAlgebra, r: RMatrix) -> Tensor3:
@@ -113,16 +108,17 @@ def coboundary_delta(alg: LieAlgebra, r: RMatrix) -> Tensor3:
     n2 = alg.dim
     if r.tensor.rows != n2:
         raise DimensionMismatch("r-matrix does not live on the algebra's space")
-    rnz = r.tensor.nonzero()
-    entries = []
-    for (i, m), row in alg.table.items():
+    dt, table = alg.f.int_table()
+    dr, rows = r.tensor.int_rows()
+    _, cols = r.tensor.transpose().int_rows()
+    acc = defaultdict(int)
+    for (i, m), row in table.items():
         for j, c in row:
-            for p, k, v in rnz:
-                if p == m:
-                    entries.append((i, j, k, c * v))  # (ad_x (x) id)(r)
-                if k == m:
-                    entries.append((i, p, j, c * v))  # (id (x) ad_x)(r)
-    return Tensor3.sparse(n2, entries)
+            for k, v in rows[m]:
+                acc[i, j, k] += c * v  # (ad_x (x) id)(r)
+            for p, v in cols[m]:
+                acc[i, p, j] += c * v  # (id (x) ad_x)(r)
+    return Tensor3.from_ints(n2, dt * dr, acc)
 
 
 def _j_block(alg: LieAlgebra) -> list[tuple[int, int, int, Fraction]]:
@@ -152,61 +148,76 @@ def omega(alg: LieAlgebra) -> Tensor3:
     for a, b, c, v in _j_block(alg):
         entries += ((n + a, n + b, c, v), (n + a, c, n + b, -v), (c, n + a, n + b, v))
     om = Tensor3.sparse(n2, entries)
-    nz = om.nonzero()
+    # the invariance sums are products of one f and one Omega entry, so
+    # their ints share one denominator and vanish exactly when the sums do
+    _, ints = alg.f.int_table()
+    _, om_ints = om.int_table()
     for x in range(n2):
-        acc: dict[tuple[int, int, int], Fraction] = {}
-        for i, j, k, v in nz:
-            for m, w in table.get((x, i), ()):
-                acc[m, j, k] = acc.get((m, j, k), Fraction(0)) + w * v
-            for m, w in table.get((x, j), ()):
-                acc[i, m, k] = acc.get((i, m, k), Fraction(0)) + w * v
-            for m, w in table.get((x, k), ()):
-                acc[i, j, m] = acc.get((i, j, m), Fraction(0)) + w * v
-        if any(v != 0 for v in acc.values()):
+        acc = defaultdict(int)
+        for (i, j), row in om_ints.items():
+            for k, v in row:
+                for m, w in ints.get((x, i), ()):
+                    acc[m, j, k] += w * v
+                for m, w in ints.get((x, j), ()):
+                    acc[i, m, k] += w * v
+                for m, w in ints.get((x, k), ()):
+                    acc[i, j, m] += w * v
+        if any(acc.values()):
             raise AssertionError(f"invariant element is not ad-invariant under e_{x}")
     return om
 
 
 def schouten(alg: LieAlgebra, r: RMatrix) -> Tensor3:
-    """[[r, r]] = [r12,r13] + [r12,r23] + [r13,r23] by direct contraction."""
+    """[[r, r]] = [r12,r13] + [r12,r23] + [r13,r23] by direct contraction,
+    in ints over the denominator dC dr^2 of C and r."""
     n2 = alg.dim
     if r.tensor.rows != n2:
         raise DimensionMismatch("r-matrix does not live on the algebra's space")
-    rows, cols = r.tensor.row_nonzeros(), r.tensor.transpose().row_nonzeros()
-    entries = []
-    for (a, b), row in alg.table.items():
+    dt, table = alg.f.int_table()
+    dr, rows = r.tensor.int_rows()
+    _, cols = r.tensor.transpose().int_rows()
+    acc = defaultdict(int)
+    for (a, b), row in table.items():
         for c, cv in row:
             for j, ra in rows[a]:
                 u = ra * cv
-                entries += ((c, j, k, u * rb) for k, rb in rows[b])  # [r12, r13]
+                for k, rb in rows[b]:
+                    acc[c, j, k] += u * rb  # [r12, r13]
             for i, ra in cols[a]:
                 u = ra * cv
-                entries += ((i, c, k, u * rb) for k, rb in rows[b])  # [r12, r23]
-                entries += ((i, j, c, u * rb) for j, rb in cols[b])  # [r13, r23]
-    return Tensor3.sparse(n2, entries)
+                for k, rb in rows[b]:
+                    acc[i, c, k] += u * rb  # [r12, r23]
+                for j, rb in cols[b]:
+                    acc[i, j, c] += u * rb  # [r13, r23]
+    return Tensor3.from_ints(n2, dt * dr * dr, acc)
 
 
 def mcybe_matrix_residual(g: LieAlgebra, R: Matrix, lam) -> Tensor3:
     """Matrix form of the mCYBE, directly in terms of R and f:
 
     res[e][a][c] = R^b_a R^c_d f_be^d - R^b_e R^c_d f_ba^d
-                   + R^b_e R^d_a f_bd^c + lam f_ea^c.
+                   + R^b_e R^d_a f_bd^c + lam f_ea^c,
+
+    summed in ints over the denominator df dR^2 lq of f, R and lam = lp/lq.
     """
-    lam = rat(lam)
-    rrows, rcols = R.row_nonzeros(), R.transpose().row_nonzeros()
-    entries = []
-    for (x, y), row in g.table.items():
+    lp, lq = rat(lam).as_integer_ratio()
+    dt, table = g.f.int_table()
+    dr, rrows = R.int_rows()
+    _, rcols = R.transpose().int_rows()
+    lam_scale = lp * dr * dr
+    acc = defaultdict(int)
+    for (x, y), row in table.items():
         for z, v in row:
-            entries.append((x, y, z, lam * v))  # lam f_ea^c
+            acc[x, y, z] += lam_scale * v  # lam f_ea^c
             for p, rxp in rrows[x]:
-                u = rxp * v
+                u = lq * rxp * v
                 for q, rqz in rcols[z]:
                     t = u * rqz
-                    entries.append((y, p, q, t))  # R^b_a R^c_d f_be^d
-                    entries.append((p, y, q, -t))  # -R^b_e R^c_d f_ba^d
+                    acc[y, p, q] += t  # R^b_a R^c_d f_be^d
+                    acc[p, y, q] -= t  # -R^b_e R^c_d f_ba^d
                 for q, ryq in rrows[y]:
-                    entries.append((p, q, z, u * ryq))  # R^b_e R^d_a f_bd^c
-    return Tensor3.sparse(g.dim, entries)
+                    acc[p, q, z] += u * ryq  # R^b_e R^d_a f_bd^c
+    return Tensor3.from_ints(g.dim, dt * dr * dr * lq, acc)
 
 
 def mcybe_check(alg: LieAlgebra, r: RMatrix, lam) -> Tensor3:
@@ -222,13 +233,15 @@ def mcybe_check(alg: LieAlgebra, r: RMatrix, lam) -> Tensor3:
     n = alg.dim // 2
     g_block = LieAlgebra(n, Tensor3.sparse(n, _j_block(alg)))
     mat = mcybe_matrix_residual(g_block, r.coeffs, lam)
-    for e in range(n):
-        for a in range(n):
-            for c in range(n):
-                if res[n + e, n + a, c] != mat[e, a, c]:
-                    raise AssertionError(
-                        f"tensor and matrix mCYBE paths disagree at ({e},{a},{c})"
-                    )
+    block = {
+        (i - n, j - n, k): v for i, j, k, v in res.nonzero() if i >= n and j >= n and k < n
+    }
+    expected = {(e, a, c): v for e, a, c, v in mat.nonzero()}
+    if block != expected:
+        e, a, c = min(
+            key for key in block.keys() | expected.keys() if block.get(key) != expected.get(key)
+        )
+        raise AssertionError(f"tensor and matrix mCYBE paths disagree at ({e},{a},{c})")
     if res.is_zero() != mat.is_zero():
         raise AssertionError("tensor and matrix mCYBE paths disagree on vanishing")
     return res

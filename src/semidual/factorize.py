@@ -15,8 +15,10 @@ callers can report exactly which component fails.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+
 from .lie import LieAlgebra, MetricError, make_lie_algebra
 from .linalg import (
     DimensionMismatch,
@@ -59,17 +61,21 @@ def dcs_constants(g: LieAlgebra, F: Matrix) -> tuple[Tensor3, Tensor3]:
     business of factorization_check.
     """
     _check_square(g, F)
-    n = g.dim
-    gt, lt = [], []
-    for (x, y), row in g.table.items():
+    dt, table = g.f.int_table()
+    df, frows = F.int_rows()
+    _, fcols = F.transpose().int_rows()
+    gt, lt = defaultdict(int), defaultdict(int)
+    for (x, y), row in table.items():
         for z, v in row:
-            for e in range(n):
-                gt.append((x, e, z, v * F[y, e]))  # f_ad^c F^d_b
-                fv = F[x, e] * v  # F^d_a f_db^c
-                gt.append((e, y, z, fv))
-                lt.append((e, y, z, fv))
-                lt.append((x, y, e, -F[e, z] * v))  # -F^c_d f_ab^d
-    return Tensor3.sparse(n, gt), Tensor3.sparse(n, lt)
+            for e, w in frows[y]:
+                gt[x, e, z] += v * w  # f_ad^c F^d_b
+            for e, w in frows[x]:
+                fv = w * v  # F^d_a f_db^c
+                gt[e, y, z] += fv
+                lt[e, y, z] += fv
+            for e, w in fcols[z]:
+                lt[x, y, e] -= w * v  # -F^c_d f_ab^d
+    return Tensor3.from_ints(g.dim, dt * df, gt), Tensor3.from_ints(g.dim, dt * df, lt)
 
 
 def factorization_check(g: LieAlgebra, F: Matrix, lam) -> Tensor3:
@@ -77,27 +83,32 @@ def factorization_check(g: LieAlgebra, F: Matrix, lam) -> Tensor3:
 
     residual[a][b][c] is the J_c-component of
     [F J_a, F J_b] - F([J_a, F J_b] + [F J_a, J_b]) + lam [J_a, J_b];
-    the all-zero tensor is equivalent to g_lam = g |><| m.
+    the all-zero tensor is equivalent to g_lam = g |><| m.  Each term is
+    one contraction of the nonzero constants f_de^x with the nonzero
+    entries of F, summed in ints over the denominator dt dF^2 q of
+    f, F and lam = p/q.
     """
     _check_square(g, F)
-    lam = rat(lam)
-    n = g.dim
-    basis = g.basis()
-    fcols = [F.col(a) for a in range(n)]
-    rows = []
-    for a in range(n):
-        plane = []
-        for b in range(n):
-            t1 = g.bracket(fcols[a], fcols[b])
-            inner = tuple(
-                x + y
-                for x, y in zip(g.bracket(basis[a], fcols[b]), g.bracket(fcols[a], basis[b]))
-            )
-            t2 = F.apply(inner)
-            t3 = g.bracket(basis[a], basis[b])
-            plane.append(tuple(t1[c] - t2[c] + lam * t3[c] for c in range(n)))
-        rows.append(plane)
-    return Tensor3(rows)
+    p, q = rat(lam).as_integer_ratio()
+    dt, table = g.f.int_table()
+    df, frows = F.int_rows()
+    _, fcols = F.transpose().int_rows()
+    lam_scale = p * df * df
+    acc = defaultdict(int)
+    for (d, e), row in table.items():
+        for x, v in row:
+            acc[d, e, x] += lam_scale * v  # lam [J_a, J_b], (a, b) = (d, e)
+            for a, s in frows[d]:
+                sv = q * s * v
+                for b, t in frows[e]:
+                    acc[a, b, x] += sv * t  # [F J_a, F J_b] = F^d_a F^e_b f_de^x J_x
+                for c, w in fcols[x]:
+                    acc[a, e, c] -= sv * w  # F [F J_a, J_b], b = e
+            for b, t in frows[e]:
+                tv = q * t * v
+                for c, w in fcols[x]:
+                    acc[d, b, c] -= tv * w  # F [J_a, F J_b], a = d
+    return Tensor3.from_ints(g.dim, dt * df * df * q, acc)
 
 
 @dataclass(frozen=True)
@@ -112,17 +123,12 @@ class DoubleCrossSum:
 
 
 def basis_change_matrix(F: Matrix) -> Matrix:
-    """2n x 2n matrix whose columns are (J_a, Q'_a = Q_a + F^b_a J_b)."""
+    """2n x 2n matrix whose columns are (J_a, Q'_a = Q_a + F^b_a J_b):
+    the block matrix [[1, F], [0, 1]]."""
     n = F.rows
-    return Matrix.build(
-        2 * n,
-        2 * n,
-        lambda i, j: (
-            (Fraction(1) if i == j else Fraction(0))
-            if j < n
-            else (F[i, j - n] if i < n else (Fraction(1) if i == j else Fraction(0)))
-        ),
-    )
+    zero, one = Fraction(0), Fraction(1)
+    unit = [(zero,) * i + (one,) + (zero,) * (n - 1 - i) for i in range(n)]
+    return Matrix([u + row for u, row in zip(unit, F.data)] + [(zero,) * n + u for u in unit])
 
 
 def verify_closure_in_complexification(g: LieAlgebra, F: Matrix, lam) -> DoubleCrossSum:

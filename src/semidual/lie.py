@@ -18,6 +18,7 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -68,33 +69,38 @@ def check_jacobi(f: Tensor3) -> list[tuple[int, int, int, int, Fraction]]:
     # given antisymmetry, the Jacobi sum is totally antisymmetric in (a,b,c),
     # so a < b < c covers every case: the terms [[J_x,J_y],J_z] reached
     # through the table are summed on the sorted triple (a,b,c) and e, for
-    # the cyclic orderings (x,y,z) of a < b < c only
+    # the cyclic orderings (x,y,z) of a < b < c only, in ints over dt^2
+    dt, table = f.int_table()
     rows_from: dict[int, list] = {}
-    for (d, z), row in f.table.items():
+    for (d, z), row in table.items():
         rows_from.setdefault(d, []).append((z, row))
-    sums: dict[tuple[int, int, int, int], Fraction] = {}
-    for (x, y), row in f.table.items():
+    sums: dict[tuple[int, int, int, int], int] = defaultdict(int)
+    for (x, y), row in table.items():
         for d, v in row:
             for z, inner in rows_from.get(d, ()):
                 if x < y < z or y < z < x or z < x < y:
                     abc = tuple(sorted((x, y, z)))
                     for e, w in inner:
-                        key = abc + (e,)
-                        sums[key] = sums[key] + v * w if key in sums else v * w
-    return [key + (s,) for key, s in sorted(sums.items()) if s]
+                        sums[abc + (e,)] += v * w
+    den = dt * dt
+    return [key + (Fraction(s, den),) for key, s in sorted(sums.items()) if s]
 
 
 def check_metric_invariance(f: Tensor3, metric: Matrix) -> list[tuple[int, int, int]]:
     """(a, b, c) where <[J_a,J_b],J_c> + <J_b,[J_a,J_c]> = f_ab^d eta_dc +
     f_ac^d eta_bd is nonzero, in index order; each table row is paired with
-    the metric's nonzeros."""
-    mrows, mcols = metric.row_nonzeros(), metric.transpose().row_nonzeros()
-    entries = []
-    for (a, b), row in f.table.items():
+    the metric's nonzeros, in ints over one denominator."""
+    _, table = f.int_table()
+    _, mrows = metric.int_rows()
+    _, mcols = metric.transpose().int_rows()
+    sums: dict[tuple[int, int, int], int] = defaultdict(int)
+    for (a, b), row in table.items():
         for d, v in row:
-            entries += ((a, b, c, v * m) for c, m in mrows[d])  # f_ab^d eta_dc
-            entries += ((a, e, b, v * m) for e, m in mcols[d])  # f_ac^d eta_bd, row (a, c)
-    return [(a, b, c) for a, b, c, _ in Tensor3.sparse(f.dim, entries).nonzero()]
+            for c, m in mrows[d]:
+                sums[a, b, c] += v * m  # f_ab^d eta_dc
+            for e, m in mcols[d]:
+                sums[a, e, b] += v * m  # f_ac^d eta_bd, row (a, c)
+    return sorted(key for key, s in sums.items() if s)
 
 
 @dataclass(frozen=True)
@@ -138,14 +144,8 @@ class LieAlgebra:
         if self.metric is None:
             raise MetricError("algebra has no invariant metric")
         xs, ys = self.element(x), self.element(y)
-        return sum(
-            (
-                xs[a] * self.metric[a, b] * ys[b]
-                for a in range(self.dim)
-                for b in range(self.dim)
-            ),
-            Fraction(0),
-        )
+        # metric.apply sums over the metric's nonzeros and the support of y
+        return sum((u * w for u, w in zip(xs, self.metric.apply(ys)) if u and w), Fraction(0))
 
     def ad(self, v: Sequence) -> Matrix:
         """Matrix of ad_V: J_b -> [V, J_b], i.e. ad_V[c][b] = V^a f_ab^c."""
@@ -288,8 +288,5 @@ def outer(g: LieAlgebra, x: Sequence, y: Sequence) -> Matrix:
     if g.metric is None:
         raise MetricError("outer product requires a metric")
     xs, ys = g.element(x), g.element(y)
-    n = g.dim
-    lowered = [
-        sum((ys[c] * g.metric[c, a] for c in range(n)), Fraction(0)) for a in range(n)
-    ]
-    return Matrix.build(n, n, lambda b, a: xs[b] * lowered[a])
+    lowered = g.metric.transpose().apply(ys)  # y^c eta_ca, over the nonzeros
+    return Matrix([[u * w for w in lowered] for u in xs])

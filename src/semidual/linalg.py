@@ -4,6 +4,11 @@ Every coefficient in this package is a fractions.Fraction; nothing is ever
 rounded.  Rationals serialize as "p/q" (or "p") strings and are parsed
 strictly: no decimals, no zero denominators.
 
+The hot kernels are fraction-free: each scales its inputs once to Python
+ints over one common denominator (Matrix.int_rows, Tensor3.int_table),
+sums products of ints, and divides only the nonzero sums by the product
+of the denominators (Tensor3.from_ints).
+
 Matrix convention, fixed package-wide: a matrix M represents the linear map
 J_a -> M[b][a] J_b, i.e. the column index is the input basis label and
 M.apply(x)[b] = sum_a M[b,a] x[a].
@@ -11,7 +16,9 @@ M.apply(x)[b] = sum_a M[b,a] x[a].
 
 from __future__ import annotations
 
+import math
 import re
+from collections import defaultdict
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Sequence
@@ -73,6 +80,18 @@ def _fsum(terms: list[Fraction]) -> Fraction:
     for t in terms[1:]:
         total += t
     return total
+
+
+IntRows = list[list[tuple[int, int]]]
+
+
+def _integer_rows(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> tuple[int, IntRows]:
+    """Rows of (index, rational) pairs as Python ints over one denominator:
+    (den, [[(index, den * v), ...], ...]), with den the lcm of every
+    denominator (1 when there is none) and the zero values dropped."""
+    ratios = [[(k, v.as_integer_ratio()) for k, v in row] for row in rows]
+    den = math.lcm(*(q for row in ratios for _, (_, q) in row))
+    return den, [[(k, p * (den // q)) for k, (p, q) in row if p] for row in ratios]
 
 
 class Matrix:
@@ -183,16 +202,16 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply ({self.rows},{self.cols}) by ({other.rows},{other.cols})"
             )
-        ot = other.data
-        return Matrix._of(
-            tuple(
-                tuple(
-                    sum((row[k] * ot[k][j] for k in range(self.cols)), Fraction(0))
-                    for j in range(other.cols)
-                )
-                for row in self.data
-            )
-        )
+        ds, srows = self.int_rows()
+        do, orows = other.int_rows()
+        den, out = ds * do, []
+        for srow in srows:
+            acc = [0] * other.cols
+            for k, s in srow:
+                for j, o in orows[k]:
+                    acc[j] += s * o
+            out.append(tuple(Fraction(v, den) if v else _ZERO for v in acc))
+        return Matrix._of(tuple(out))
 
     def apply(self, x: Sequence) -> tuple[Fraction, ...]:
         """M x, summing only over the support of x and the nonzero entries
@@ -230,9 +249,10 @@ class Matrix:
             if v
         ]
 
-    def row_nonzeros(self) -> list[list[tuple[int, Fraction]]]:
-        """The nonzero entries of each row i, as [(j, M[i, j]), ...]."""
-        return [[(j, v) for j, v in enumerate(row) if v] for row in self.data]
+    def int_rows(self) -> tuple[int, IntRows]:
+        """(den, the nonzero entries of each row as [(j, den * M[i, j]), ...]),
+        den the lcm of the denominators (1 for the zero matrix)."""
+        return _integer_rows(map(enumerate, self.data))
 
     def det(self) -> Fraction:
         if self.rows != self.cols:
@@ -479,6 +499,18 @@ class Tensor3:
         t.table = MappingProxyType({ij: tuple(row) for ij, row in rows.items()})
         return t
 
+    @classmethod
+    def from_ints(cls, dim: int, den: int, sums: dict[tuple[int, int, int], int]) -> "Tensor3":
+        """The tensor with entry v / den at each (i, j, k) of an int
+        accumulator; a Fraction is built for the nonzero sums only."""
+        return cls.sparse(dim, ((i, j, k, Fraction(v, den)) for (i, j, k), v in sums.items() if v))
+
+    def int_table(self) -> tuple[int, dict[tuple[int, int], list[tuple[int, int]]]]:
+        """(den, table with every t_ijk replaced by the int den * t_ijk), den
+        the lcm of the denominators (1 for the zero tensor)."""
+        den, rows = _integer_rows(self.table.values())
+        return den, dict(zip(self.table, rows))
+
     def __getitem__(self, key) -> Fraction:
         i, j, k = key
         d = self.dim
@@ -535,24 +567,31 @@ class Tensor3:
         """Components in the basis J'_a = A^d_a J_d, given ainv = A^-1 (not
         checked): t'_ab^c = A^d_a A^e_b t_de^x (A^-1)^c_x.  One index is
         summed at a time, over the previous step's nonzeros and those of
-        ainv's columns resp. A's rows, so the cost follows the nonzeros."""
+        ainv's columns resp. A's rows, so the cost follows the nonzeros; the
+        sums are ints over the denominator dt dA^2 dA^-1 of the three inputs."""
         n = self.dim
         for m in (A, ainv):
             if m.rows != n or m.cols != n:
                 raise DimensionMismatch(f"{m.rows}x{m.cols} basis change for tensor dim {n}")
-        arows, icols = A.row_nonzeros(), ainv.transpose().row_nonzeros()
-        upper = Tensor3.sparse(n, (
-            (d, e, c, v * w)
-            for (d, e), row in self.table.items()
-            for x, v in row
-            for c, w in icols[x]
-        ))
-        second = Tensor3.sparse(n, (
-            (d, b, c, w * v) for d, e, c, v in upper.nonzero() for b, w in arows[e]
-        ))
-        return Tensor3.sparse(n, (
-            (a, b, c, w * v) for d, b, c, v in second.nonzero() for a, w in arows[d]
-        ))
+        dt, table = self.int_table()
+        da, arows = A.int_rows()
+        di, icols = ainv.transpose().int_rows()
+        upper = defaultdict(int)
+        for (d, e), row in table.items():
+            for x, v in row:
+                for c, w in icols[x]:
+                    upper[d, e, c] += v * w
+        second = defaultdict(int)
+        for (d, e, c), v in upper.items():
+            if v:
+                for b, w in arows[e]:
+                    second[d, b, c] += w * v
+        final = defaultdict(int)
+        for (d, b, c), v in second.items():
+            if v:
+                for a, w in arows[d]:
+                    final[a, b, c] += w * v
+        return Tensor3.from_ints(n, dt * da * da * di, final)
 
     def is_zero(self) -> bool:
         return not self.table

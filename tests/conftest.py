@@ -321,3 +321,71 @@ def dense_closure(g, F, lam):
                 )
 
     return DoubleCrossSum(gt, lt, make_lie_algebra(gt), B)
+
+
+def dense_factorization(g, F, lam) -> Tensor3:
+    """[F J_a, F J_b] - F([J_a, F J_b] + [F J_a, J_b]) + lam [J_a, J_b] on
+    every basis pair, one bracket and one F.apply at a time."""
+    lam = rat(lam)
+    n = g.dim
+    basis = g.basis()
+    fcols = [F.col(a) for a in range(n)]
+    rows = []
+    for a in range(n):
+        plane = []
+        for b in range(n):
+            t1 = g.bracket(fcols[a], fcols[b])
+            inner = tuple(
+                x + y
+                for x, y in zip(g.bracket(basis[a], fcols[b]), g.bracket(fcols[a], basis[b]))
+            )
+            t2 = F.apply(inner)
+            t3 = g.bracket(basis[a], basis[b])
+            plane.append(tuple(t1[c] - t2[c] + lam * t3[c] for c in range(n)))
+        rows.append(plane)
+    return Tensor3(rows)
+
+
+def dense_matmul(A: Matrix, B: Matrix) -> Matrix:
+    """(A B)[i, j] = sum_k A[i, k] B[k, j], over every k."""
+    return Matrix.build(A.rows, B.cols, lambda i, j: _sum(A[i, k] * B[k, j] for k in range(A.cols)))
+
+
+def dense_r_tensor(F: Matrix) -> Matrix:
+    """r = F^b_a P^a /\\ J_b on (J, P): [P^a][J_b] = F[b, a], [J_a][P^b] = -F[a, b]."""
+    n = F.rows
+
+    def fn(i, j):
+        if i >= n and j < n:
+            return F[j, i - n]
+        if i < n and j >= n:
+            return -F[i, j - n]
+        return Fraction(0)
+
+    return Matrix.build(2 * n, 2 * n, fn)
+
+
+def dense_basis_change(F: Matrix) -> Matrix:
+    """Columns (J_a, Q'_a = Q_a + F^b_a J_b), entry by entry."""
+    n = F.rows
+    return Matrix.build(
+        2 * n,
+        2 * n,
+        lambda i, j: (
+            (Fraction(1) if i == j else Fraction(0))
+            if j < n
+            else (F[i, j - n] if i < n else (Fraction(1) if i == j else Fraction(0)))
+        ),
+    )
+
+
+def dense_inner(g, x, y) -> Fraction:
+    """<x, y> = x^a eta_ab y^b over all n^2 metric entries."""
+    r = range(g.dim)
+    return _sum(x[a] * g.metric[a, b] * y[b] for a in r for b in r)
+
+
+def dense_outer(g, x, y) -> Matrix:
+    """|x><y|[b, a] = x^b y^c eta_ca, over every c."""
+    r = range(g.dim)
+    return Matrix.build(g.dim, g.dim, lambda b, a: x[b] * _sum(y[c] * g.metric[c, a] for c in r))

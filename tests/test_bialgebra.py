@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,11 @@ from semidual.bialgebra import (
     semidual_algebra,
 )
 from semidual.cli import build_report, main
-from semidual.factorize import dcs_constants, factorization_check
+from semidual.factorize import basis_change_matrix, dcs_constants, factorization_check
 from semidual.lie import so3, so21
 from semidual.linalg import Matrix, Tensor3
 from semidual.solutions import generalized_kappa
+from conftest import dense_basis_change, dense_r_tensor, rng_matrix
 
 rationals = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 matrices = st.lists(
@@ -188,6 +190,19 @@ class TestRMatrix:
         assert r.coeffs[1, 0] == 3 and r.coeffs[1, 2] == -3
         assert len(r.coeffs.nonzero()) == 2
 
+    @pytest.mark.parametrize("n", [1, 3, 6, 9])
+    def test_block_matrices_match_entrywise_formulas(self, n):
+        # r_matrix and basis_change_matrix are assembled from F's rows and
+        # columns; the entry-by-entry formulas they replaced must agree
+        rng = random.Random(n)
+        for F in (rng_matrix(rng, n), Matrix.zeros(n), Matrix.identity(n)):
+            r = r_matrix(F)
+            assert r.coeffs is F
+            assert r.tensor == dense_r_tensor(F)
+            assert basis_change_matrix(F) == dense_basis_change(F)
+            assert all(type(v) is Fraction for m in (r.tensor, basis_change_matrix(F))
+                       for row in m.data for v in row)
+
 
 class TestOmega:
     def test_components(self, euclid):
@@ -263,6 +278,27 @@ class TestMcybe:
                 for a in range(3):
                     for c in range(3):
                         assert res[3 + e, 3 + a, c] == mat[e, a, c]
+
+    @pytest.mark.parametrize("F,lam", [
+        (Matrix.identity(3), 1), (Matrix([[1, 2, 0], [0, 3, 0], [0, 0, 5]]), "1/2")])
+    def test_planted_path_disagreement(self, monkeypatch, lorentz, F, lam):
+        # the P (x) P (x) J block is compared through the nonzeros of both
+        # paths; the smallest differing (e, a, c) is named
+        real = mcybe_matrix_residual
+        sd, r = semidual_algebra(lorentz), r_matrix(F)
+        mat = real(lorentz, F, lam)
+        plants = [[(0, 0, 0, 1)], [(2, 1, 0, "1/3")], [(2, 2, 2, 1), (1, 2, 0, -2)]]
+        # cancel an existing entry, so that only the tensor path has it
+        plants += [[(e, a, c, -v)] for e, a, c, v in mat.nonzero()[:2]]
+        for bumps in plants:
+            monkeypatch.setattr(bialgebra, "mcybe_matrix_residual",
+                                lambda g, R, lm: real(g, R, lm) + Tensor3.sparse(3, bumps))
+            e, a, c = min(b[:3] for b in bumps)
+            with pytest.raises(AssertionError) as exc:
+                mcybe_check(sd, r, lam)
+            assert str(exc.value) == f"tensor and matrix mCYBE paths disagree at ({e},{a},{c})"
+        monkeypatch.setattr(bialgebra, "mcybe_matrix_residual", real)
+        assert mcybe_check(sd, r, lam).is_zero() == mat.is_zero()
 
     @given(matrices, st.sampled_from([-1, 0, 1]))
     @settings(max_examples=25, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from semidual.lie import (
     AntisymmetryViolation,
+    LieAlgebra,
     JacobiViolation,
     MetricError,
     MetricNotInvariant,
@@ -20,7 +21,7 @@ from semidual.lie import (
     theta,
 )
 from semidual.linalg import Matrix, Tensor3
-from conftest import rng_vec
+from conftest import dense_inner, dense_outer, rng_matrix, rng_vec
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 vectors = st.tuples(rationals, rationals, rationals)
@@ -276,3 +277,19 @@ class TestOuter:
                 z = basis(3, a)
                 want = tuple(lorentz.inner(y, z) * xi for xi in x)
                 assert m.apply(z) == want
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_inner_and_outer_follow_the_metric_nonzeros(n):
+    # random symmetric metrics, some entries and some vector components
+    # exactly zero; the dense n^2 sums are the reference
+    rng = random.Random(f"metric{n}")
+    for _ in range(6):
+        m = rng_matrix(rng, n)
+        m = Matrix.build(n, n, lambda i, j: m[i, j] if rng.random() < 0.5 else 0)
+        g = LieAlgebra(n, Tensor3.zeros(n), m + m.transpose())
+        for _ in range(4):
+            x, y = (tuple(v if rng.random() < 0.7 else 0 for v in rng_vec(rng, n)) for _ in "xy")
+            assert g.inner(x, y) == dense_inner(g, x, y)
+            assert type(g.inner(x, y)) is Fraction
+            assert outer(g, x, y) == dense_outer(g, x, y)

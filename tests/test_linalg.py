@@ -16,10 +16,12 @@ from semidual.linalg import (
     rat_str,
     solve,
 )
-from semidual.factorize import basis_change_matrix
+from semidual.factorize import basis_change_matrix, factorization_check
+from semidual.lie import LieAlgebra
 from conftest import (
     dense_add,
     dense_apply,
+    dense_matmul,
     dense_neg,
     dense_scale,
     dense_sub,
@@ -463,3 +465,69 @@ class TestSparseStorage:
         with pytest.raises(TypeError):
             t.table[1, 1] = ((0, Fraction(1)),)
         assert dict(t.table) == {(0, 1): ((0, 1),)}
+
+
+class TestIntegerScaling:
+    """The fraction-free kernels scale their inputs once to ints over one
+    common denominator and divide only the nonzero sums."""
+
+    def test_empty_table_has_denominator_one(self):
+        assert Tensor3.zeros(4).int_table() == (1, {})
+        assert Matrix.zeros(2, 3).int_rows() == (1, [[], []])
+        abelian = LieAlgebra(4, Tensor3.zeros(4))
+        F = rng_matrix(random.Random(4), 4)
+        assert factorization_check(abelian, F, "7/3").is_zero()
+
+    def test_lcm_of_shared_factors(self):
+        t = Tensor3.sparse(
+            2, [(0, 1, 0, "1/6"), (0, 1, 1, "-1/4"), (1, 0, 1, "5/12"), (1, 1, 0, 3)])
+        assert t.int_table() == (
+            12, {(0, 1): [(0, 2), (1, -3)], (1, 0): [(1, 5)], (1, 1): [(0, 36)]})
+        M = Matrix([[0, "1/6", "-3/4"], ["2/9", 0, 1]])
+        assert M.int_rows() == (36, [[(1, 6), (2, -27)], [(0, 8), (2, 36)]])
+
+    def test_from_ints_equals_public_construction(self):
+        rng = random.Random(13)
+        for dim in (1, 2, 3):
+            for share in (0, 0.6, 1):
+                t = sparse_tensor(rng, dim, share)
+                den, table = t.int_table()
+                sums = {(i, j, k): v for (i, j), row in table.items() for k, v in row}
+                for scale in (1, 6, 35):  # the same entries over a larger denominator
+                    scaled = {key: scale * v for key, v in sums.items()}
+                    u = Tensor3.from_ints(dim, scale * den, scaled)
+                    check_storage(u)
+                    assert u == t and hash(u) == hash(t)
+                    n = range(dim)
+                    public = Tensor3([[[t[i, j, k] for k in n] for j in n] for i in n])
+                    assert u == public and hash(u) == hash(public)
+
+    def test_cancelled_sums_are_not_stored(self):
+        u = Tensor3.from_ints(2, 6, {(0, 1, 0): 0, (1, 0, 1): 4, (1, 1, 1): -6, (0, 0, 0): 0})
+        check_storage(u)
+        assert dict(u.table) == {(1, 0): ((1, Fraction(2, 3)),), (1, 1): ((1, -1),)}
+        assert Tensor3.from_ints(3, 7, {(0, 1, 2): 0}) == Tensor3.zeros(3)
+
+
+class TestMatmul:
+    """A @ B sums over the nonzeros of A's rows and B's rows in ints."""
+
+    def test_random_with_planted_zeros(self):
+        rng = random.Random(20261018)
+        for _ in range(60):
+            r, k, c = (rng.randint(1, 6) for _ in range(3))
+            A = Matrix([planted_zeros(rng, k, rng.choice([0, 0.5, 1])) for _ in range(r)])
+            B = Matrix([planted_zeros(rng, c, rng.choice([0, 0.5, 1])) for _ in range(k)])
+            AB = A @ B
+            assert AB == dense_matmul(A, B)
+            assert (AB.rows, AB.cols) == (r, c)
+            assert all_fractions(v for row in AB.data for v in row)
+            public = Matrix([list(row) for row in AB.data])
+            assert AB == public and hash(AB) == hash(public)
+
+    def test_shared_denominators_and_shape(self):
+        A = Matrix([["1/6", "1/4"], ["-1/12", 0]])
+        B = Matrix([[6, "2/3"], ["4/9", "-1/2"]])
+        assert A @ B == dense_matmul(A, B) == Matrix([["10/9", "-1/72"], ["-1/2", "-1/18"]])
+        with pytest.raises(DimensionMismatch):
+            A @ Matrix.identity(3)

@@ -21,6 +21,7 @@ from conftest import (
     dense_complexify,
     dense_dcs,
     dense_dualco,
+    dense_factorization,
     dense_jacobi,
     dense_mcybe_matrix,
     dense_metric_invariance,
@@ -47,6 +48,7 @@ from semidual.factorize import (
     InternalMismatch,
     basis_change_matrix,
     dcs_constants,
+    factorization_check,
     verify_closure_in_complexification,
 )
 from semidual.lie import (
@@ -59,7 +61,7 @@ from semidual.lie import (
     so3,
     so21,
 )
-from semidual.linalg import DimensionMismatch, Matrix, Tensor3
+from semidual.linalg import DimensionMismatch, Matrix, Tensor3, rat
 from semidual.solutions import standard_sweep
 
 CASES = [f"bianchi-{label}" for label in LABELS] + [
@@ -423,3 +425,71 @@ class TestMcybeMatrixOnSparseR:
         for R in self.sparse_maps(rng, 3):
             for lam in (0, -1, rng_rat(rng)):
                 assert mcybe_matrix_residual(g, R, lam) == dense_mcybe_matrix(g, R, lam)
+
+
+LAMBDAS = [-4, -1, 0, 1, 4, "7/3"]
+
+
+def max_bits(F: Matrix) -> int:
+    return max(max(v.numerator.bit_length(), v.denominator.bit_length()) for _, _, v in F.nonzero())
+
+
+def isometry_word(rng, metric: Matrix, length=3) -> Matrix:
+    """A product of `length` rational rotations (or, for a Lorentzian
+    metric diag(1,-1,-1), boosts in the planes with J_0) in coordinate
+    planes, from Pythagorean triples a^2 + b^2 = c^2."""
+    W = Matrix.identity(3)
+    for _ in range(length):
+        a, b, c = rng.choice([(3, 4, 5), (20, 21, 29), (119, 120, 169), (696, 697, 985)])
+        sign = rng.choice((1, -1))
+        i, j = rng.choice(((0, 1), (0, 2), (1, 2)))
+        if metric[0, 0] != metric[i, i] * metric[j, j]:  # boost: ch^2 - sh^2 = 1
+            co, si, sj = rat(f"{c}/{a}"), sign * rat(f"{b}/{a}"), 1
+        else:
+            co, si, sj = rat(f"{a}/{c}"), sign * rat(f"{b}/{c}"), -1
+        plane = {(i, i): co, (j, j): co, (i, j): sj * si, (j, i): si}
+        E = Matrix.build(3, 3, lambda r, s: plane.get((r, s), int(r == s)))
+        W = W @ E
+    return W
+
+
+class TestFactorizationContraction:
+    """factorization_check is one integer contraction of the table with the
+    nonzeros of F; the bracket grid plus F.apply it replaced must give the
+    same residual, entry for entry."""
+
+    def test_random_maps(self, case):
+        g, rng = case
+        for lam in LAMBDAS:
+            for F in (rng_matrix(rng, g.dim), Matrix.zeros(g.dim)):
+                assert factorization_check(g, F, lam) == dense_factorization(g, F, lam)
+
+    def test_block_sums(self, blocks):
+        g, rng = blocks
+        maps = [rng_matrix(rng, g.dim), block_diagonal(rng, g.dim // 3), Matrix.zeros(g.dim)]
+        for F in maps:
+            lam = rng.choice(LAMBDAS)
+            assert factorization_check(g, F, lam) == dense_factorization(g, F, lam)
+
+    def test_conjugated_sweep_solutions(self, euclid, lorentz):
+        # as the benchmark's reject inputs: solutions conjugated by an
+        # isometry word (entries of about 33 bits) still solve; one entry
+        # moved by a small rational makes them fail
+        rng = random.Random("reject")
+        cases = rng.sample(list(standard_sweep(euclid, lorentz)), 16)
+        bits = 0
+        for inst in cases:
+            g = inst.algebra
+            W = isometry_word(rng, g.metric)
+            G = W @ inst.F @ W.metric_transpose(g.metric)
+            assert factorization_check(g, G, inst.lam).is_zero()
+            while True:  # redraw perturbations that still solve
+                b, a = rng.randrange(3), rng.randrange(3)
+                bump = rat(f"{rng.choice((1, -1)) * rng.randint(1, 3)}/{rng.choice((7, 11, 13))}")
+                F = G + Matrix.build(3, 3, lambda r, s: bump if (r, s) == (b, a) else 0)
+                if not factorization_check(g, F, inst.lam).is_zero():
+                    break
+            for lam in (inst.lam, *LAMBDAS):
+                assert factorization_check(g, F, lam) == dense_factorization(g, F, lam)
+            bits = max(bits, max_bits(F))
+        assert bits >= 30
