@@ -60,28 +60,11 @@ def dualco_delta(gt: Tensor3, lt: Tensor3) -> Tensor3:
     return Tensor3.sparse(2 * n, entries)
 
 
-def co_jacobi_violations(alg: LieAlgebra, delta: Tensor3) -> list[tuple]:
-    """Nonzero components of the cyclic sum of (delta (x) id) o delta."""
-    n2 = alg.dim
-    nz = {i: [] for i in range(n2)}
-    for i, j, k, v in delta.nonzero():
-        nz[i].append((j, k, v))
-    bad = []
-    for x in range(n2):
-        acc: dict[tuple[int, int, int], Fraction] = {}
-        for a, k, v in nz[x]:
-            for i, j, w in nz[a]:
-                key = (i, j, k)
-                acc[key] = acc.get(key, Fraction(0)) + v * w
-        for (i, j, k) in list(acc):
-            total = (
-                acc.get((i, j, k), Fraction(0))
-                + acc.get((j, k, i), Fraction(0))
-                + acc.get((k, i, j), Fraction(0))
-            )
-            if total != 0:
-                bad.append((x, i, j, k, total))
-    return bad
+def dual_bracket(delta: Tensor3) -> Tensor3:
+    """The bracket [e^j, e^k] = delta[i][j][k] e^i that delta puts on the dual
+    space, t[j, k, i] = delta[i, j, k].  delta is antisymmetric and satisfies
+    co-Jacobi exactly when t is antisymmetric and satisfies Jacobi."""
+    return Tensor3.sparse(delta.dim, [(j, k, i, v) for i, j, k, v in delta.nonzero()])
 
 
 @dataclass(frozen=True)

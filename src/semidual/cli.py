@@ -10,32 +10,25 @@ All output is deterministic and uses exact "p/q" rationals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import bialgebra, bianchi, factorize, jsonio, lie, solutions
-from .jsonio import InputError
+from . import bialgebra, bianchi, factorize, jsonio, lie, selftest, solutions
+from .jsonio import InputError, rat_field
 from .lie import LieAlgebra
-from .linalg import Matrix, Tensor3, rat
+from .linalg import Matrix, Tensor3
 from .solutions import ConstraintViolation, Family, SolutionInstance
-
-
-def _parse_rat(text: str, what: str) -> Fraction:
-    try:
-        return rat(text)
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"{what}: {exc}") from exc
 
 
 def _parse_vec(text: str, what: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise InputError(f"{what}: expected three comma-separated rationals")
-    return tuple(_parse_rat(p, what) for p in parts)
+    return tuple(rat_field(p, what) for p in parts)
 
 
 @dataclass
@@ -139,14 +132,10 @@ def build_report(name: str, g: LieAlgebra, F: Matrix, lam: Fraction) -> Verifica
     m_brackets = None
     classification = None
     if dcs is not None:
-        nz = dcs.g_tensor.nonzero()
         m_brackets = [
-            f"[Q'_{a},Q'_{b}] = " + _linear_combo(
-                [(v, f"Q'_{c}") for a2, b2, c, v in nz if (a2, b2) == (a, b)]
-            )
-            for a in range(g.dim)
-            for b in range(a + 1, g.dim)
-            if any((a2, b2) == (a, b) for a2, b2, _, _ in nz)
+            f"[Q'_{a},Q'_{b}] = " + _linear_combo([(v, f"Q'_{c}") for c, v in row])
+            for (a, b), row in dcs.g_tensor.table.items()
+            if a < b
         ] or ["all Q' commute (abelian m)"]
         if g.dim == 3:
             classification = bianchi.classify(dcs.m_algebra)
@@ -190,7 +179,7 @@ def _print_report(rep: VerificationReport):
 
 
 def _report_json(rep: VerificationReport) -> dict:
-    out = {
+    return {
         "algebra": jsonio.algebra_to_json(rep.algebra),
         "algebra_name": rep.algebra_name,
         "lambda": str(rep.lam),
@@ -201,13 +190,9 @@ def _report_json(rep: VerificationReport) -> dict:
         ],
         "m_brackets": rep.m_brackets,
         "r_matrix": jsonio.rmatrix_to_json(rep.r.coeffs),
+        "bianchi": None if rep.classification is None else _classification_json(rep.classification),
         "pass": rep.passed,
     }
-    if rep.classification is not None:
-        out["bianchi"] = _classification_json(rep.classification)
-    else:
-        out["bianchi"] = None
-    return out
 
 
 def _classification_json(cl: bianchi.Classification) -> dict:
@@ -224,7 +209,7 @@ def _load_inputs(args) -> tuple[str, LieAlgebra, Matrix, Fraction]:
     """The --algebra, --f and --lambda of verify and semidual."""
     name, g = jsonio.load_algebra(args.algebra)
     F = jsonio.fmap_from_json(jsonio.load_json_file(args.f), g.dim, where=str(args.f))
-    return name, g, F, _parse_rat(args.lam, "--lambda")
+    return name, g, F, rat_field(args.lam, "--lambda")
 
 
 def cmd_verify(args) -> int:
@@ -236,63 +221,42 @@ def cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
-_FAMILY_DESCRIPTIONS = {
-    Family.ZERO: "F = 0",
-    Family.DOUBLE: "F = sqrt(lambda) id",
-    Family.KAPPA: "F = ad_V",
-    Family.GENKAPPA: "F = beta |V><V| + alpha ad_V",
-    Family.RANKONE: "F = beta |m><m|",
-    Family.SMALL_JORDAN: "F = beta |N><N| - sqrt(lambda) |J1><J1| + sqrt(lambda) ad_J1",
-    Family.LIGHT_JORDAN: "F = beta |n><n| + ad_n",
-    Family.LARGE_JORDAN: "F = beta |J1><n|",
+# the flags that are not one rational; argparse already made --alpha 0 or 1
+_PARSE_FLAG = {"v": _parse_vec, "alpha": lambda value, flag: value}
+
+# family -> (description, constructor, the flags it takes after the
+# algebra, in the constructor's argument order)
+_FAMILIES = {
+    Family.ZERO: ("F = 0", solutions.zero_solution, ("lambda",)),
+    Family.DOUBLE: ("F = sqrt(lambda) id", solutions.double_solution, ("lambda", "sqrt")),
+    Family.KAPPA: ("F = ad_V", solutions.kappa_solution, ("v", "lambda")),
+    Family.GENKAPPA: ("F = beta |V><V| + alpha ad_V", solutions.generalized_kappa,
+                      ("v", "beta", "alpha", "lambda")),
+    Family.RANKONE: ("F = beta |m><m|", solutions.rank_one, ("v", "beta")),
+    Family.SMALL_JORDAN: ("F = beta |N><N| - sqrt(lambda) |J1><J1| + sqrt(lambda) ad_J1",
+                          solutions.small_jordan, ("beta", "lambda", "sqrt")),
+    Family.LIGHT_JORDAN: ("F = beta |n><n| + ad_n", solutions.light_jordan, ("beta",)),
+    Family.LARGE_JORDAN: ("F = beta |J1><n|", solutions.large_jordan, ("beta",)),
 }
 
 
 def _build_family(args) -> SolutionInstance:
+    """The instance of --family; its flags are checked and parsed one at a
+    time in argument order, so the first missing or malformed one is named."""
     e, l = lie.isometry_algebras()
-    g = e if args.metric == "euclidean" else l
-    fam = args.family
-
-    def need(flag, name):
-        if flag is None:
-            raise InputError(f"--family {fam} requires --{name}")
-        return flag
-
+    _, construct, flags = _FAMILIES[Family(args.family)]
+    values = []
+    for flag in flags:
+        text = getattr(args, "lam" if flag == "lambda" else flag)
+        if text is None:
+            raise InputError(f"--family {args.family} requires --{flag}")
+        values.append(_PARSE_FLAG.get(flag, rat_field)(text, f"--{flag}"))
     try:
-        if fam == "zero":
-            return solutions.zero_solution(g, _parse_rat(need(args.lam, "lambda"), "--lambda"))
-        if fam == "double":
-            return solutions.double_solution(
-                g, _parse_rat(need(args.lam, "lambda"), "--lambda"),
-                _parse_rat(need(args.sqrt, "sqrt"), "--sqrt"))
-        if fam == "kappa":
-            return solutions.kappa_solution(
-                g, _parse_vec(need(args.v, "v"), "--v"),
-                _parse_rat(need(args.lam, "lambda"), "--lambda"))
-        if fam == "genkappa":
-            return solutions.generalized_kappa(
-                g, _parse_vec(need(args.v, "v"), "--v"),
-                _parse_rat(need(args.beta, "beta"), "--beta"),
-                int(need(args.alpha, "alpha")),
-                _parse_rat(need(args.lam, "lambda"), "--lambda"))
-        if fam == "rankone":
-            return solutions.rank_one(
-                g, _parse_vec(need(args.v, "v"), "--v"),
-                _parse_rat(need(args.beta, "beta"), "--beta"))
-        if fam == "small-jordan":
-            return solutions.small_jordan(
-                g, _parse_rat(need(args.beta, "beta"), "--beta"),
-                _parse_rat(need(args.lam, "lambda"), "--lambda"),
-                _parse_rat(need(args.sqrt, "sqrt"), "--sqrt"))
-        if fam == "light-jordan":
-            return solutions.light_jordan(g, _parse_rat(need(args.beta, "beta"), "--beta"))
-        if fam == "large-jordan":
-            return solutions.large_jordan(g, _parse_rat(need(args.beta, "beta"), "--beta"))
+        return construct(e if args.metric == "euclidean" else l, *values)
     except ValueError as exc:
         if isinstance(exc, (InputError, ConstraintViolation)):
             raise
         raise InputError(str(exc)) from exc
-    raise InputError(f"unknown family {fam}")
 
 
 def cmd_family(args) -> int:
@@ -318,7 +282,7 @@ def cmd_family(args) -> int:
         obj["bianchi_matches_expected"] = type_ok
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:
-        print(f"family: {inst.family.value} ({_FAMILY_DESCRIPTIONS[inst.family]})")
+        print(f"family: {inst.family.value} ({_FAMILIES[inst.family][0]})")
         params = ", ".join(
             f"{k} = {v}" if isinstance(v, Fraction) else
             f"{k} = ({','.join(str(x) for x in v)})"
@@ -342,12 +306,15 @@ def cmd_semidual(args) -> int:
         print(f"FAIL: factorisation condition fails at {comps}")
         return 1
     delta = rep.delta
-    # a pair of entries that breaks antisymmetry has a nonzero member
-    if any(delta[i, k, j] != -v for i, j, k, v in delta.nonzero()):
-        raise AssertionError("cocommutator is not antisymmetric")
-    bad = bialgebra.co_jacobi_violations(rep.semidual, delta)
-    if bad:
-        raise AssertionError(f"co-Jacobi fails at {bad[:3]}")
+    # delta is a Lie cobracket exactly when its dual bracket is a Lie bracket
+    try:
+        lie.make_lie_algebra(bialgebra.dual_bracket(delta))
+    except lie.AntisymmetryViolation as exc:
+        j, k, i = exc.indices
+        raise AssertionError(f"cocommutator is not antisymmetric: "
+                             f"delta[{i}][{j}][{k}] != -delta[{i}][{k}][{j}]") from exc
+    except lie.JacobiViolation as exc:
+        raise AssertionError(f"co-Jacobi fails at {exc.indices}, residual {exc.residual}") from exc
     n = rep.algebra.dim
     names = [f"J_{a}" for a in range(n)] + [f"P^{a}" for a in range(n)]
     if args.json:
@@ -489,8 +456,7 @@ def cmd_sweep(args) -> int:
     build_report, one line each, then a Bianchi-type census; stops at the
     first instance that fails a check or has an unexpected type."""
     census = Counter()
-    sweep = solutions.standard_sweep(*lie.isometry_algebras(),
-                                     include_rank_one=not args.skip_rank_one)
+    sweep = solutions.standard_sweep(include_rank_one=not args.skip_rank_one)
     for inst in sweep:
         euclid = inst.algebra.metric == lie.EUCLIDEAN_METRIC
         expected = inst.expected_bianchi.label
@@ -510,122 +476,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _selftest_suites():
-    e, l = lie.isometry_algebras()
-    rng = random.Random(20130824)
-
-    def rrat():
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-
-    def rvec():
-        return tuple(rrat() for _ in range(3))
-
-    def rmat():
-        return Matrix([[rrat() for _ in range(3)] for _ in range(3)])
-
-    def eps_identity():
-        for g in (e, l):
-            eta = g.metric
-            for a in range(3):
-                for b in range(3):
-                    for c in range(3):
-                        for x in range(3):
-                            for y in range(3):
-                                for z in range(3):
-                                    up = sum(
-                                        Fraction(lie.eps(d, f2, h))
-                                        * eta[d, x] * eta[f2, y] * eta[h, z]
-                                        for d in range(3)
-                                        for f2 in range(3)
-                                        for h in range(3)
-                                    )
-                                    d_ = lambda i, j: 1 if i == j else 0
-                                    rhs = (
-                                        d_(a, x) * (d_(b, y) * d_(c, z) - d_(b, z) * d_(c, y))
-                                        - d_(a, y) * (d_(b, x) * d_(c, z) - d_(b, z) * d_(c, x))
-                                        + d_(a, z) * (d_(b, x) * d_(c, y) - d_(b, y) * d_(c, x))
-                                    )
-                                    if Fraction(lie.eps(a, b, c)) * up != rhs:
-                                        return False
-        return True
-
-    def double_bracket():
-        for g in (e, l):
-            for _ in range(50):
-                x, y, z = rvec(), rvec(), rvec()
-                lhs = g.bracket(x, g.bracket(y, z))
-                rhs = tuple(
-                    g.inner(x, z) * y[i] - g.inner(x, y) * z[i] for i in range(3)
-                )
-                if lhs != rhs:
-                    return False
-        return True
-
-    def cyclic_identity():
-        for g in (e, l):
-            for _ in range(50):
-                x, y, z, v = rvec(), rvec(), rvec(), rvec()
-                lhs = (
-                    g.inner(g.bracket(x, y), v) * g.inner(v, z)
-                    + g.inner(g.bracket(y, z), v) * g.inner(v, x)
-                    + g.inner(g.bracket(z, x), v) * g.inner(v, y)
-                )
-                rhs = g.inner(v, v) * g.inner(g.bracket(x, y), z)
-                if lhs != rhs:
-                    return False
-        return True
-
-    def adjugate_agrees():
-        from .linalg import adjugate_cofactor
-
-        for g in (e, l):
-            for _ in range(20):
-                F = rmat()
-                if factorize.adjugate(F) != adjugate_cofactor(F):
-                    return False
-                adj = factorize.adjugate(F)
-                basis = g.basis()
-                for a in range(3):
-                    for b in range(3):
-                        for c in range(3):
-                            lhs = g.inner(adj.apply(basis[c]), g.bracket(basis[a], basis[b]))
-                            rhs = g.inner(basis[c], g.bracket(F.col(a), F.col(b)))
-                            if lhs != rhs:
-                                return False
-        return True
-
-    def forms_agree():
-        for g in (e, l):
-            for lam in (Fraction(-1), Fraction(0), Fraction(1)):
-                for _ in range(15):
-                    F = rmat()
-                    s1 = factorize.factorization_check(g, F, lam).is_zero()
-                    s2 = factorize.quadratic_condition(F, g, lam).is_zero()
-                    split = factorize.split_sv(F, g)
-                    s3 = factorize.projected_equations(split, lam).is_zero()
-                    s4 = factorize.master_residual(split, lam).is_zero()
-                    if not (s1 == s2 == s3 == s4):
-                        return False
-        return True
-
-    def behr_round_trip():
-        for g in bianchi.canonical_representatives().values():
-            bianchi.behr_decompose(g)  # raises on round-trip failure
-        return True
-
-    return [
-        ("epsilon identity (exhaustive, both signatures)", eps_identity),
-        ("double-bracket identity [X,[Y,Z]] = <X,Z>Y - <X,Y>Z", double_bracket),
-        ("cyclic inner-product identity", cyclic_identity),
-        ("adjugate: quadratic formula vs cofactors and defining property", adjugate_agrees),
-        ("equivalence of the four factorisation forms", forms_agree),
-        ("Behr decomposition round trip", behr_round_trip),
-    ]
-
-
 def cmd_selftest(args) -> int:
     ok = True
-    for name, fn in _selftest_suites():
+    for name, fn in selftest.suites():
         passed = fn()
         ok = ok and passed
         print(f"selftest {name}: {'PASS' if passed else 'FAIL'}")
@@ -633,7 +486,11 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every `main`
+    call.  It names the subcommand only; `main` looks its cmd_* function up
+    per call, so a rebound one is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="semidual",
         description="Exact verification of double-cross-sum factorisations and "
@@ -646,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, help="F-matrix JSON file")
     p.add_argument("--lambda", dest="lam", required=True, help="rational p/q")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("family", help="generate a solution-family instance")
     p.add_argument("--family", required=True,
@@ -660,40 +516,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sqrt", help="rational square root of |lambda|")
     p.add_argument("--out", help="write the F-matrix JSON here")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("semidual", help="emit the semidual bialgebra tensors")
     p.add_argument("--algebra", required=True)
     p.add_argument("--f", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_semidual)
 
     p = sub.add_parser("classify", help="Bianchi type of a 3d Lie algebra")
     p.add_argument("--algebra", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("table1", help="reproduce the summary table")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("sweep", help="run every solution family over the standard grid")
     p.add_argument("--skip-rank-one", action="store_true",
                    help="restrict to the families of the summary table")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("selftest", help="run the identity and property suites")
-    p.set_defaults(func=cmd_selftest)
+    sub.add_parser("selftest", help="run the identity and property suites")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (InputError, ConstraintViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

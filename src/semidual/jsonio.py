@@ -35,7 +35,8 @@ def load_json_file(path) -> object:
         raise InputError(f"{p}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
-def _rat_field(value, where: str) -> Fraction:
+def rat_field(value, where: str) -> Fraction:
+    """rat(value), or an InputError that names the field `where`."""
     try:
         return rat(value)
     except (ValueError, TypeError) as exc:
@@ -54,7 +55,7 @@ def algebra_from_json(obj, where="algebra") -> LieAlgebra:
         if not isinstance(diag, list) or len(diag) != dim:
             raise InputError(f"{where}.metric: expected a list of {dim} rationals")
         metric = Matrix.diagonal(
-            [_rat_field(v, f"{where}.metric[{i}]") for i, v in enumerate(diag)]
+            [rat_field(v, f"{where}.metric[{i}]") for i, v in enumerate(diag)]
         )
     entries = obj.get("f")
     if not isinstance(entries, list):
@@ -76,7 +77,7 @@ def algebra_from_json(obj, where="algebra") -> LieAlgebra:
                 raise InputError(f"{loc}.{name}: index out of range 0..{dim - 1}")
         if not a < b:
             raise InputError(f"{loc}: need a < b (a > b entries follow by antisymmetry)")
-        v = _rat_field(entry.get("v"), f"{loc}.v")
+        v = rat_field(entry.get("v"), f"{loc}.v")
         if (a, b, c) in seen:
             raise InputError(f"{loc}: duplicate entry for ({a},{b},{c})")
         seen.add((a, b, c))
@@ -106,7 +107,7 @@ def fmap_from_json(obj, dim: int | None = None, where="F") -> Matrix:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise InputError(f"{where}.matrix: expected a list of rows")
     data = [
-        [_rat_field(v, f"{where}.matrix[{i}][{j}]") for j, v in enumerate(row)]
+        [rat_field(v, f"{where}.matrix[{i}][{j}]") for j, v in enumerate(row)]
         for i, row in enumerate(rows)
     ]
     try:
@@ -137,11 +138,8 @@ def matrix_components(m: Matrix) -> list[dict]:
 
 
 def builtin_algebra(name: str) -> LieAlgebra | None:
-    if name == "so3":
-        return isometry_algebras()[0]
-    if name == "so21":
-        return isometry_algebras()[1]
-    return None
+    """so3 or so21 by name; None for any other name."""
+    return dict(zip(("so3", "so21"), isometry_algebras())).get(name)
 
 
 def load_algebra(spec: str) -> tuple[str, LieAlgebra]:

@@ -56,13 +56,16 @@ class MetricError(LieAlgebraError):
 
 
 def check_antisymmetry(f: Tensor3) -> list[tuple[int, int, int]]:
-    return sorted(
-        {
-            (a, b, c) if a < b else (b, a, c)
-            for a, b, c, v in f.nonzero()
-            if f[b, a, c] != -v
-        }
-    )
+    """(a, b, c) with a <= b where f_ab^c != -f_ba^c, sorted; the mirror
+    row (b, a) of each table row is read once."""
+    table = f.table
+    bad = set()
+    for (a, b), row in table.items():
+        mirror = dict(table.get((b, a), ()))
+        for c, v in row:
+            if mirror.get(c, 0) != -v:
+                bad.add((a, b, c) if a < b else (b, a, c))
+    return sorted(bad)
 
 
 def check_jacobi(f: Tensor3) -> list[tuple[int, int, int, int, Fraction]]:

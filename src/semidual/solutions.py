@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .bianchi import BianchiType
 from .factorize import factorization_check
-from .lie import LieAlgebra, is_lorentzian, outer
+from .lie import LieAlgebra, is_lorentzian, isometry_algebras, outer
 from .linalg import Matrix, rat, vec
 
 
@@ -261,16 +261,14 @@ RANKONE_M_LORENTZIAN = (vec([1, 0, 0]), vec([0, 1, 0]), vec([1, 0, 1]))
 DOUBLE_PARAMS = ((rat(1), rat(1)), (rat(4), rat(2)))
 
 
-def standard_sweep(so3_algebra=None, so21_algebra=None, include_rank_one=True):
-    """Every family instance over the standard parameter grid.
+def standard_sweep(include_rank_one=True):
+    """Every family instance over the standard parameter grid, on the shared
+    so3 and so21 of `isometry_algebras()`.
 
     beta runs over SWEEP_BETAS, lambda over {-4,-1,0,1,4} as admissible per
     family, and v over a fixed list of rational vectors of each causal type.
     """
-    from .lie import so3, so21
-
-    so3_algebra = so3() if so3_algebra is None else so3_algebra
-    so21_algebra = so21() if so21_algebra is None else so21_algebra
+    so3_algebra, so21_algebra = isometry_algebras()
     out: list[SolutionInstance] = []
     for g, v_table, m_table in (
         (so3_algebra, EUCLIDEAN_V, RANKONE_M_EUCLIDEAN),

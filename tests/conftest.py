@@ -244,6 +244,37 @@ def dense_jacobi(f: Tensor3):
     return bad
 
 
+def dense_antisymmetry(f: Tensor3):
+    """Every (a, b, c) with a <= b and f_ab^c != -f_ba^c, scanning every index."""
+    n = f.dim
+    return sorted({
+        (min(a, b), max(a, b), c)
+        for a in range(n) for b in range(n) for c in range(n)
+        if f[a, b, c] != -f[b, a, c]
+    })
+
+
+def dense_co_jacobi(delta: Tensor3):
+    """(i, j, k, x, s) for i < j < k and every nonzero s, the e_i (x) e_j (x) e_k
+    component of the cyclic sum of (delta (x) id) o delta applied to e_x:
+    s = sum over the cyclic (p, q, r) of (i, j, k) and every a of
+    delta[x][a][r] delta[a][p][q]."""
+    n = delta.dim
+    bad = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for x in range(n):
+                    s = _sum(
+                        delta[x, a, r] * delta[a, p, q]
+                        for p, q, r in ((i, j, k), (j, k, i), (k, i, j))
+                        for a in range(n)
+                    )
+                    if s:
+                        bad.append((i, j, k, x, s))
+    return bad
+
+
 def dense_metric_invariance(f: Tensor3, metric: Matrix):
     """Every (a, b, c) with f_ab^d eta_dc + f_ac^d eta_bd != 0."""
     n = f.dim

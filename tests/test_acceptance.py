@@ -22,26 +22,24 @@ from semidual.bianchi import (
     classify,
 )
 from semidual.cli import main
-from semidual.factorize import (
-    adjugate,
-    dcs_constants,
-    factorization_check,
-    master_residual,
-    projected_equations,
-    quadratic_condition,
-    split_sv,
-)
+from semidual.factorize import adjugate, dcs_constants, factorization_check
 from semidual.lie import (
     check_antisymmetry,
     check_jacobi,
     check_metric_invariance,
     complexify,
-    eps,
     make_lie_algebra,
     so3,
     so21,
 )
-from semidual.linalg import Matrix, Tensor3, adjugate_cofactor
+from semidual.linalg import Matrix, Tensor3
+from semidual.selftest import (
+    adjugate_identities,
+    cyclic_identity,
+    double_bracket,
+    epsilon_identity,
+    factorisation_forms,
+)
 from semidual.solutions import (
     SWEEP_BETAS,
     generalized_kappa,
@@ -76,28 +74,8 @@ def test_acceptance_1_jacobi_and_metric_invariance():
 
 def test_acceptance_2_epsilon_identities():
     for g in (so3(), so21()):
-        eta = g.metric
-        d = lambda i, j: 1 if i == j else 0
         # epsilon identity, exhaustive over all 729 index tuples
-        for a in range(3):
-            for b in range(3):
-                for c in range(3):
-                    low = eps(a, b, c)
-                    for e in range(3):
-                        for f in range(3):
-                            for h in range(3):
-                                up = sum(
-                                    eps(x, y, z) * eta[x, e] * eta[y, f] * eta[z, h]
-                                    for x in range(3)
-                                    for y in range(3)
-                                    for z in range(3)
-                                )
-                                want = (
-                                    d(a, e) * (d(b, f) * d(c, h) - d(b, h) * d(c, f))
-                                    - d(a, f) * (d(b, e) * d(c, h) - d(b, h) * d(c, e))
-                                    + d(a, h) * (d(b, e) * d(c, f) - d(b, f) * d(c, e))
-                                )
-                                assert low * up == want
+        assert epsilon_identity(g)
         # double-bracket identity on all 27 basis triples and 100 random
         rng = random.Random(2)
         triples = [
@@ -105,28 +83,12 @@ def test_acceptance_2_epsilon_identities():
             for a in range(3) for b in range(3) for c in range(3)
         ] + [(rng_vec(rng), rng_vec(rng), rng_vec(rng)) for _ in range(100)]
         for x, y, z in triples:
-            lhs = g.bracket(x, g.bracket(y, z))
-            xz, xy = g.inner(x, z), g.inner(x, y)
-            assert lhs == tuple(xz * y[i] - xy * z[i] for i in range(3))
+            assert double_bracket(g, x, y, z)
         # cyclic identity on 100 random rational quadruples
         for _ in range(100):
             x, y, z, v = (rng_vec(rng) for _ in range(4))
-            lhs = (
-                g.inner(g.bracket(x, y), v) * g.inner(v, z)
-                + g.inner(g.bracket(y, z), v) * g.inner(v, x)
-                + g.inner(g.bracket(z, x), v) * g.inner(v, y)
-            )
-            assert lhs == g.inner(v, v) * g.inner(g.bracket(x, y), z)
+            assert cyclic_identity(g, x, y, z, v)
     print("\nACCEPTANCE 2 epsilon / double-bracket / cyclic identities: PASS")
-
-
-def _four_form_statuses(g, F, lam):
-    s1 = factorization_check(g, F, lam).is_zero()
-    s2 = quadratic_condition(F, g, lam).is_zero()
-    sp = split_sv(F, g)
-    s3 = projected_equations(sp, lam).is_zero()
-    s4 = master_residual(sp, lam).is_zero()
-    return s1, s2, s3, s4
 
 
 def test_acceptance_3_equivalence_of_four_forms():
@@ -134,10 +96,10 @@ def test_acceptance_3_equivalence_of_four_forms():
     for g in (so3(), so21()):
         for lam in (Fraction(-1), Fraction(0), Fraction(1)):
             for _ in range(200):
-                statuses = _four_form_statuses(g, rng_matrix(rng), lam)
+                statuses = factorisation_forms(g, rng_matrix(rng), lam)
                 assert len(set(statuses)) == 1
-    for inst in standard_sweep(so3(), so21()):
-        statuses = _four_form_statuses(inst.algebra, inst.F, inst.lam)
+    for inst in standard_sweep():
+        statuses = factorisation_forms(inst.algebra, inst.F, inst.lam)
         assert statuses == (True, True, True, True)
     print("\nACCEPTANCE 3 equivalence of the four factorisation forms: PASS")
 
@@ -146,15 +108,8 @@ def test_acceptance_4_adjugate():
     rng = random.Random(4)
     for g in (so3(), so21()):
         for _ in range(100):
-            F = rng_matrix(rng)
-            adj = adjugate(F)
-            assert adj == adjugate_cofactor(F)  # independent oracle
-            for a in range(3):
-                for b in range(3):
-                    for c in range(3):
-                        lhs = g.inner(adj.apply(basis(c)), g.bracket(basis(a), basis(b)))
-                        rhs = g.inner(basis(c), g.bracket(F.col(a), F.col(b)))
-                        assert lhs == rhs
+            # the cofactor adjugate is the independent oracle
+            assert adjugate_identities(g, rng_matrix(rng))
         for r in rational_orthogonal_samples(g, 20):
             assert adjugate(r) @ r == Matrix.identity(3)
     print("\nACCEPTANCE 4 adjugate formula, defining property, orthogonal inverse: PASS")
@@ -192,7 +147,7 @@ def _random_draw_instances(rng, count=20):
 
 def test_acceptance_5_rmatrix_end_to_end():
     rng = random.Random(5)
-    instances = standard_sweep(so3(), so21()) + _random_draw_instances(rng)
+    instances = standard_sweep() + _random_draw_instances(rng)
     for inst in instances:
         g = inst.algebra
         sd = semidual_algebra(g)
@@ -303,7 +258,7 @@ def test_acceptance_7_table_reproduction(capsys):
     # I, III, IV, V, VI, VII and VIII/IX; type II never occurs
     e, l = so3(), so21()
     produced = {}
-    for inst in standard_sweep(e, l, include_rank_one=False):
+    for inst in standard_sweep(include_rank_one=False):
         produced.setdefault(classify_factor(inst).label, []).append(inst)
     assert set(produced) == {"I", "III", "IV", "V", "VI", "VII", "VIII", "IX"}
     assert "II" not in produced
@@ -339,7 +294,7 @@ def test_acceptance_8_negative_controls():
 
     rng = random.Random(8)
     pool = [
-        inst for inst in standard_sweep(e, l)
+        inst for inst in standard_sweep()
         if not inst.F.is_zero() and inst.family is not Family.RANKONE
     ]
     semiduals = {g: semidual_algebra(g) for g in (e, l)}

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from semidual import bialgebra
 from semidual.bialgebra import (
-    co_jacobi_violations,
     coboundary_delta,
+    dual_bracket,
     dualco_delta,
     mcybe_check,
     mcybe_matrix_residual,
@@ -20,10 +20,10 @@ from semidual.bialgebra import (
 )
 from semidual.cli import build_report, main
 from semidual.factorize import basis_change_matrix, dcs_constants, factorization_check
-from semidual.lie import so3, so21
+from semidual.lie import JacobiViolation, check_jacobi, make_lie_algebra, so3, so21
 from semidual.linalg import Matrix, Tensor3
-from semidual.solutions import generalized_kappa
-from conftest import dense_basis_change, dense_r_tensor, rng_matrix
+from semidual.solutions import generalized_kappa, standard_sweep
+from conftest import dense_basis_change, dense_co_jacobi, dense_r_tensor, rng_matrix
 
 rationals = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 matrices = st.lists(
@@ -129,7 +129,7 @@ class TestSemidualize:
         delta = semidual_delta(lorentz, inst.F)
         for i, j, k, v in delta.nonzero():
             assert delta[i, k, j] == -v
-        assert co_jacobi_violations(semidual_algebra(lorentz), delta) == []
+        make_lie_algebra(dual_bracket(delta))  # raises unless co-Jacobi holds
 
     def test_emits_the_cocommutator_of_a_solution(self, run_semidual, lorentz):
         inst = generalized_kappa(lorentz, (0, 1, 0), 2, 1, 1)
@@ -350,21 +350,32 @@ class TestGeneralDimension:
 
 
 class TestCoJacobi:
-    def test_holds_on_every_valid_instance(self, euclid, lorentz):
-        # co-Jacobi is a consequence of the mCYBE; checked here directly as
-        # a tensor identity across the whole sweep
-        from semidual.solutions import standard_sweep
-
-        semiduals = {g: semidual_algebra(g) for g in (euclid, lorentz)}
-        for inst in standard_sweep(euclid, lorentz):
-            sd = semiduals[inst.algebra]
+    def test_holds_on_every_valid_instance(self):
+        # co-Jacobi is a consequence of the mCYBE; checked here directly, as
+        # the Jacobi identity of the dual bracket, across the whole sweep
+        for inst in standard_sweep():
             delta = dualco_delta(*dcs_constants(inst.algebra, inst.F))
-            assert co_jacobi_violations(sd, delta) == []
+            make_lie_algebra(dual_bracket(delta))  # raises unless co-Jacobi holds
 
     def test_fails_for_invalid_f(self, lorentz):
         # negative control: a non-factorising F gives a delta that is not a
         # Lie cobracket
-        sd = semidual_algebra(lorentz)
         F = Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
         delta = dualco_delta(*dcs_constants(lorentz, F))
-        assert co_jacobi_violations(sd, delta) != []
+        with pytest.raises(JacobiViolation):
+            make_lie_algebra(dual_bracket(delta))
+
+    def test_dual_jacobi_is_the_co_jacobi_sum(self, lorentz):
+        # the Jacobi sum of the dual bracket, component for component, is the
+        # cyclic sum of (delta (x) id) o delta, on valid and invalid F
+        rng = random.Random(7)
+        sweep = standard_sweep()
+        cases = [(inst.algebra, inst.F) for inst in rng.sample(sweep, 6)]
+        cases += [(lorentz, rng_matrix(rng)) for _ in range(4)]
+        failing = 0
+        for g, F in cases:
+            delta = dualco_delta(*dcs_constants(g, F))
+            bad = dense_co_jacobi(delta)
+            assert check_jacobi(dual_bracket(delta)) == bad
+            failing += bool(bad)
+        assert failing

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from semidual import bialgebra, factorize, jsonio, lie
-from semidual.cli import build_report, main
+from semidual.cli import build_parser, build_report, main
 from semidual.linalg import Matrix
 from semidual.solutions import generalized_kappa
 
@@ -212,6 +212,47 @@ class TestThreeDimensionalForms:
         assert calls == []
 
 
+# each family's flags are checked one at a time in constructor-argument
+# order: every missing flag after a valid prefix, every malformed value
+FAMILY_FLAG_ERRORS = [
+    (["zero"], "--family zero requires --lambda"),
+    (["zero", "--lambda=1/0"], "--lambda: zero denominator in rational: '1/0'"),
+    (["double"], "--family double requires --lambda"),
+    (["double", "--lambda=1"], "--family double requires --sqrt"),
+    (["double", "--lambda=1/0"], "--lambda: zero denominator in rational: '1/0'"),
+    (["double", "--lambda=1", "--sqrt=x"], "--sqrt: not a rational: 'x'"),
+    (["kappa"], "--family kappa requires --v"),
+    (["kappa", "--v=1,0,0"], "--family kappa requires --lambda"),
+    (["kappa", "--v=1,0"], "--v: expected three comma-separated rationals"),
+    (["kappa", "--v=1,a,0"], "--v: not a rational: 'a'"),
+    (["kappa", "--v=1,0,0", "--lambda=1/0"], "--lambda: zero denominator in rational: '1/0'"),
+    (["genkappa"], "--family genkappa requires --v"),
+    (["genkappa", "--v=1,0,0"], "--family genkappa requires --beta"),
+    (["genkappa", "--v=1,0,0", "--beta=1"], "--family genkappa requires --alpha"),
+    (["genkappa", "--v=1,0,0", "--beta=1", "--alpha=1"], "--family genkappa requires --lambda"),
+    (["genkappa", "--v=1,0"], "--v: expected three comma-separated rationals"),
+    (["genkappa", "--v=1,0,0", "--beta=1.5"], "--beta: not a rational: '1.5'"),
+    (["genkappa", "--v=1,0,0", "--beta=1", "--alpha=1", "--lambda=1/0"],
+     "--lambda: zero denominator in rational: '1/0'"),
+    (["rankone"], "--family rankone requires --v"),
+    (["rankone", "--v=1,0,0"], "--family rankone requires --beta"),
+    (["rankone", "--v=1,0"], "--v: expected three comma-separated rationals"),
+    (["rankone", "--v=1,0,0", "--beta=1.5"], "--beta: not a rational: '1.5'"),
+    (["small-jordan"], "--family small-jordan requires --beta"),
+    (["small-jordan", "--beta=1"], "--family small-jordan requires --lambda"),
+    (["small-jordan", "--beta=1", "--lambda=1"], "--family small-jordan requires --sqrt"),
+    (["small-jordan", "--beta=1.5"], "--beta: not a rational: '1.5'"),
+    (["small-jordan", "--beta=1", "--lambda=1/0"], "--lambda: zero denominator in rational: '1/0'"),
+    (["small-jordan", "--beta=1", "--lambda=1", "--sqrt=x"], "--sqrt: not a rational: 'x'"),
+    (["light-jordan"], "--family light-jordan requires --beta"),
+    (["light-jordan", "--beta=1.5"], "--beta: not a rational: '1.5'"),
+    (["large-jordan"], "--family large-jordan requires --beta"),
+    (["large-jordan", "--beta=1.5"], "--beta: not a rational: '1.5'"),
+    (["double", "--lambda=-1", "--sqrt=1"], "F = sqrt(lambda) id is only a solution for lambda > 0"),
+    (["double", "--lambda=4", "--sqrt=3"], "sqrt_lambda^2 = 9 != lambda = 4"),
+]
+
+
 class TestFamily:
     def test_double_emits_f(self, capsys, tmp_path):
         out_file = tmp_path / "F.json"
@@ -244,6 +285,19 @@ class TestFamily:
         code, _, err = run(capsys, ["family", "--family", "double"])
         assert code == 2
         assert "--lambda" in err
+
+    @pytest.mark.parametrize("flags, message", FAMILY_FLAG_ERRORS,
+                             ids=[" ".join(flags) for flags, _ in FAMILY_FLAG_ERRORS])
+    def test_flag_errors_exit_two(self, capsys, flags, message):
+        code, out, err = run(capsys, ["family", "--family", *flags])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_malformed_alpha_is_refused_by_the_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["family", "--family", "genkappa", "--v=1,0,0", "--beta=1", "--alpha=2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "semidual family: error: argument --alpha: invalid choice: 2 (choose from 0, 1)\n")
 
     def test_remaining_families(self, capsys):
         cases = [
@@ -342,6 +396,19 @@ class TestTable1:
         assert {r["bianchi"] for r in obj["rows"]} == {
             "I", "III", "IV", "V", "VI", "VII", "VIII", "IX",
         }
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_calls_give_the_same_output(self, capsys):
+        argv = ["family", "--family", "genkappa", "--v", "1,0,0", "--alpha", "1",
+                "--beta", "2", "--lambda", "-1", "--metric", "euclidean", "--json"]
+        first = run(capsys, argv)
+        assert run(capsys, ["family", "--family", "zero"])[0] == 2
+        assert run(capsys, argv) == first
+        assert first[0] == 0
 
 
 class TestSelftest:

@@ -21,6 +21,7 @@ from semidual.factorize import (
 )
 from semidual.lie import so3, so21
 from semidual.linalg import DimensionMismatch, Matrix, Tensor3, adjugate_cofactor
+from semidual.selftest import adjugate_identities, factorisation_forms
 from semidual.solutions import generalized_kappa, light_jordan, small_jordan, standard_sweep
 from conftest import rng_matrix
 
@@ -142,9 +143,9 @@ class TestClosureReadsResidual:
     @pytest.mark.parametrize("lam", [-4, -1, 0, 1, 4])
     def test_random_and_conjugated_solutions(self, euclid, lorentz, lam):
         rng = random.Random(20131017 + lam)
-        sweep = list(standard_sweep(euclid, lorentz))
+        sweep = list(standard_sweep())
         for g in (euclid, lorentz):
-            sols = [inst.F for inst in sweep if inst.algebra is g and inst.lam == lam]
+            sols = [inst.F for inst in sweep if inst.algebra == g and inst.lam == lam]
             sols = rng.sample(sols, min(2, len(sols)))
             rots = rational_orthogonal_samples(g, len(sols), seed=lam)
             conj = [r @ F @ r.inverse() for r, F in zip(rots, sols)]
@@ -171,7 +172,7 @@ class TestClosureCrossCheck:
     def test_perturbed_constant_raises(self, euclid, lorentz, monkeypatch, which):
         rng = random.Random(which)
         real = factorize.dcs_constants
-        for inst in rng.sample(list(standard_sweep(euclid, lorentz)), 6):
+        for inst in rng.sample(list(standard_sweep()), 6):
             g, F, lam = inst.algebra, inst.F, inst.lam
             n = g.dim
             verify_closure_in_complexification(g, F, lam)
@@ -246,13 +247,7 @@ class TestAdjugate:
     def test_defining_property(self, F):
         # <adj(F) Z, [X, Y]> = <Z, [F X, F Y]> on all basis triples
         for g in (so3(), so21()):
-            adj = adjugate(F)
-            for a in range(3):
-                for b in range(3):
-                    for c in range(3):
-                        lhs = g.inner(adj.apply(basis(c)), g.bracket(basis(a), basis(b)))
-                        rhs = g.inner(basis(c), g.bracket(F.col(a), F.col(b)))
-                        assert lhs == rhs
+            assert adjugate_identities(g, F)
 
     def test_orthogonal_inverse(self, euclid, lorentz):
         for g in (euclid, lorentz):
@@ -331,12 +326,7 @@ class TestEquivalenceOfForms:
     @settings(max_examples=60)
     def test_status_agreement(self, F, lam):
         for g in (so3(), so21()):
-            s1 = factorization_check(g, F, lam).is_zero()
-            s2 = quadratic_condition(F, g, lam).is_zero()
-            sp = split_sv(F, g)
-            s3 = projected_equations(sp, lam).is_zero()
-            s4 = master_residual(sp, lam).is_zero()
-            assert s1 == s2 == s3 == s4
+            assert len(set(factorisation_forms(g, F, lam))) == 1
 
     @given(matrices, st.sampled_from([-1, 0, 1]))
     @settings(max_examples=40)

@@ -12,7 +12,6 @@ from semidual.lie import (
     MetricError,
     MetricNotInvariant,
     complexify,
-    eps,
     make_lie_algebra,
     null_basis,
     outer,
@@ -21,6 +20,7 @@ from semidual.lie import (
     theta,
 )
 from semidual.linalg import Matrix, Tensor3
+from semidual.selftest import cyclic_identity, double_bracket, epsilon_identity
 from conftest import dense_inner, dense_outer, rng_matrix, rng_vec
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -110,27 +110,7 @@ class TestEpsilonIdentities:
     def test_eps_identity_exhaustive(self, euclid, lorentz):
         # eps_abc eps^{efg} = det of deltas, entrywise over all 729 tuples
         for g in (euclid, lorentz):
-            eta = g.metric
-            d = lambda i, j: 1 if i == j else 0
-            for a in range(3):
-                for b in range(3):
-                    for c in range(3):
-                        lower = eps(a, b, c)
-                        for e in range(3):
-                            for f in range(3):
-                                for h in range(3):
-                                    upper = sum(
-                                        eps(x, y, z) * eta[x, e] * eta[y, f] * eta[z, h]
-                                        for x in range(3)
-                                        for y in range(3)
-                                        for z in range(3)
-                                    )
-                                    rhs = (
-                                        d(a, e) * (d(b, f) * d(c, h) - d(b, h) * d(c, f))
-                                        - d(a, f) * (d(b, e) * d(c, h) - d(b, h) * d(c, e))
-                                        + d(a, h) * (d(b, e) * d(c, f) - d(b, f) * d(c, e))
-                                    )
-                                    assert lower * upper == rhs
+            assert epsilon_identity(g)
 
     def test_double_bracket_identity_basis(self, euclid, lorentz):
         # [X,[Y,Z]] = <X,Z> Y - <X,Y> Z on all 27 basis triples
@@ -138,28 +118,17 @@ class TestEpsilonIdentities:
             for a in range(3):
                 for b in range(3):
                     for c in range(3):
-                        x, y, z = basis(3, a), basis(3, b), basis(3, c)
-                        lhs = g.bracket(x, g.bracket(y, z))
-                        xz, xy = g.inner(x, z), g.inner(x, y)
-                        rhs = tuple(xz * y[i] - xy * z[i] for i in range(3))
-                        assert lhs == rhs
+                        assert double_bracket(g, basis(3, a), basis(3, b), basis(3, c))
 
     @given(vectors, vectors, vectors)
     def test_double_bracket_identity_random(self, x, y, z):
         for g in (so3(), so21()):
-            lhs = g.bracket(x, g.bracket(y, z))
-            xz, xy = g.inner(x, z), g.inner(x, y)
-            assert lhs == tuple(xz * y[i] - xy * z[i] for i in range(3))
+            assert double_bracket(g, x, y, z)
 
     @given(vectors, vectors, vectors, vectors)
     def test_cyclic_identity_random(self, x, y, z, v):
         for g in (so3(), so21()):
-            lhs = (
-                g.inner(g.bracket(x, y), v) * g.inner(v, z)
-                + g.inner(g.bracket(y, z), v) * g.inner(v, x)
-                + g.inner(g.bracket(z, x), v) * g.inner(v, y)
-            )
-            assert lhs == g.inner(v, v) * g.inner(g.bracket(x, y), z)
+            assert cyclic_identity(g, x, y, z, v)
 
 
 class TestComplexify:

@@ -269,7 +269,7 @@ class TestExpectedTypes:
         assert classify_factor(inst).label == "II"
 
     def test_sweep_expected_matches_computed(self, euclid, lorentz):
-        for inst in standard_sweep(euclid, lorentz)[::7]:
+        for inst in standard_sweep()[::7]:
             assert classify_factor(inst).label == inst.expected_bianchi.label
 
 
@@ -317,11 +317,11 @@ class TestMixedCommutators:
 
 class TestSweep:
     def test_counts_and_families(self, euclid, lorentz):
-        sweep = standard_sweep(euclid, lorentz)
+        sweep = standard_sweep()
         families = {inst.family for inst in sweep}
         assert families == {
             Family.ZERO, Family.DOUBLE, Family.GENKAPPA, Family.RANKONE,
             Family.SMALL_JORDAN, Family.LIGHT_JORDAN, Family.LARGE_JORDAN,
         }
-        no_rankone = standard_sweep(euclid, lorentz, include_rank_one=False)
+        no_rankone = standard_sweep(include_rank_one=False)
         assert {i.family for i in no_rankone} == families - {Family.RANKONE}

@@ -13,6 +13,7 @@ import pytest
 from semidual import factorize
 from conftest import (
     dense_ad,
+    dense_antisymmetry,
     dense_apply,
     dense_bracket,
     dense_change_basis,
@@ -52,8 +53,10 @@ from semidual.factorize import (
     verify_closure_in_complexification,
 )
 from semidual.lie import (
+    AntisymmetryViolation,
     JacobiViolation,
     MetricNotInvariant,
+    check_antisymmetry,
     check_jacobi,
     check_metric_invariance,
     complexify,
@@ -264,10 +267,42 @@ def planted(f: Tensor3, rng, count=3) -> Tensor3:
     return Tensor3.sparse(n, f.nonzero() + extra)
 
 
+def planted_asymmetry(f: Tensor3, rng, kind: str) -> Tensor3:
+    """f plus entries at a random (a, b, c), a < b, that break f_ab^c = -f_ba^c."""
+    n = f.dim
+    a, b = sorted(rng.sample(range(n), 2))
+    c, v = rng.randrange(n), rng_rat(rng) or 1
+    extra = {
+        "missing mirror": [(a, b, c, v)],
+        "mirror only": [(b, a, c, v)],
+        "wrong-sign mirror": [(a, b, c, v), (b, a, c, v)],
+        "wrong-magnitude mirror": [(a, b, c, v), (b, a, c, -2 * v)],
+        "diagonal": [(a, a, c, v)],
+    }[kind]
+    return Tensor3.sparse(n, f.nonzero() + extra)
+
+
 class TestChecksMatchDenseLoops:
-    """check_jacobi and check_metric_invariance run over the table; the
-    dense loops scan every index.  The lists, so the first reported index
-    tuple too, must be identical."""
+    """check_antisymmetry, check_jacobi and check_metric_invariance run over
+    the table; the dense loops scan every index.  The lists, so the first
+    reported index tuple too, must be identical."""
+
+    def test_antisymmetry_on_valid_algebras(self, case):
+        g, _ = case
+        assert check_antisymmetry(g.f) == dense_antisymmetry(g.f) == []
+
+    @pytest.mark.parametrize("kind", [
+        "missing mirror", "mirror only", "wrong-sign mirror", "wrong-magnitude mirror", "diagonal",
+    ])
+    def test_planted_antisymmetry_violations(self, case, kind):
+        g, rng = case
+        for _ in range(3):
+            f = planted_asymmetry(g.f, rng, kind)
+            bad = dense_antisymmetry(f)
+            assert bad and check_antisymmetry(f) == bad
+            with pytest.raises(AntisymmetryViolation) as exc:
+                make_lie_algebra(f)
+            assert exc.value.indices == bad[0]
 
     def test_jacobi_on_valid_algebras(self, case):
         g, _ = case
@@ -366,7 +401,7 @@ class TestClosureMatchesBracketGrid:
 
     def test_sweep_solutions(self, euclid, lorentz):
         rng = random.Random("sweep")
-        for inst in rng.sample(list(standard_sweep(euclid, lorentz)), 12):
+        for inst in rng.sample(list(standard_sweep()), 12):
             args = inst.algebra, inst.F, inst.lam
             got = closure_outcome(verify_closure_in_complexification, *args)
             assert got == closure_outcome(dense_closure, *args)
@@ -476,7 +511,7 @@ class TestFactorizationContraction:
         # isometry word (entries of about 33 bits) still solve; one entry
         # moved by a small rational makes them fail
         rng = random.Random("reject")
-        cases = rng.sample(list(standard_sweep(euclid, lorentz)), 16)
+        cases = rng.sample(list(standard_sweep()), 16)
         bits = 0
         for inst in cases:
             g = inst.algebra
