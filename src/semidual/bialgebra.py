@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lie import LieAlgebra, make_lie_algebra
-from .linalg import DimensionMismatch, Matrix, Tensor3, rat
+from .linalg import DimensionMismatch, Matrix, Tensor3, ValueCache, rat
 
 
 def semidual_algebra(g: LieAlgebra) -> LieAlgebra:
@@ -38,6 +38,22 @@ def semidual_algebra(g: LieAlgebra) -> LieAlgebra:
                 (n + c, a, n + b, v),  # [P^c, J_a] = f_ab^c P^b
             )
     return make_lie_algebra(Tensor3.sparse(2 * n, entries))
+
+
+_SEMIDUALS = ValueCache()
+_OMEGAS = ValueCache()
+
+
+def cached_semidual_algebra(g: LieAlgebra) -> LieAlgebra:
+    """semidual_algebra(g), built (and Jacobi-checked) once per value of g
+    while it stays among the cache's recent entries."""
+    return _SEMIDUALS.get(g, lambda: semidual_algebra(g))
+
+
+def cached_omega(alg: LieAlgebra) -> Tensor3:
+    """omega(alg), built and checked for ad-invariance once per value of alg
+    while it stays among the cache's recent entries."""
+    return _OMEGAS.get(alg, lambda: omega(alg))
 
 
 def dualco_delta(gt: Tensor3, lt: Tensor3) -> Tensor3:
@@ -131,22 +147,31 @@ def omega(alg: LieAlgebra) -> Tensor3:
     for a, b, c, v in _j_block(alg):
         entries += ((n + a, n + b, c, v), (n + a, c, n + b, -v), (c, n + a, n + b, v))
     om = Tensor3.sparse(n2, entries)
-    # the invariance sums are products of one f and one Omega entry, so
-    # their ints share one denominator and vanish exactly when the sums do
+    # (ad_x Omega)^pqr = f_xs^p Omega^sqr + f_xs^q Omega^psr + f_xs^r Omega^pqs:
+    # each table row (x, s) meets the Omega entries that hold s in one slot.
+    # The sums are products of one f and one Omega entry, so their ints
+    # share one denominator and vanish exactly when the sums do.
     _, ints = alg.f.int_table()
     _, om_ints = om.int_table()
-    for x in range(n2):
-        acc = defaultdict(int)
-        for (i, j), row in om_ints.items():
-            for k, v in row:
-                for m, w in ints.get((x, i), ()):
-                    acc[m, j, k] += w * v
-                for m, w in ints.get((x, j), ()):
-                    acc[i, m, k] += w * v
-                for m, w in ints.get((x, k), ()):
-                    acc[i, j, m] += w * v
-        if any(acc.values()):
-            raise AssertionError(f"invariant element is not ad-invariant under e_{x}")
+    # per slot: s -> [(the other two indices, the Omega entry)]
+    first, second, third = {}, {}, {}
+    for (i, j), row in om_ints.items():
+        for k, v in row:
+            first.setdefault(i, []).append((j, k, v))
+            second.setdefault(j, []).append((i, k, v))
+            third.setdefault(k, []).append((i, j, v))
+    acc = defaultdict(int)
+    for (x, s), row in ints.items():
+        for m, w in row:
+            for j, k, v in first.get(s, ()):
+                acc[x, m, j, k] += w * v
+            for i, k, v in second.get(s, ()):
+                acc[x, i, m, k] += w * v
+            for i, j, v in third.get(s, ()):
+                acc[x, i, j, m] += w * v
+    bad = min((key[0] for key, v in acc.items() if v), default=None)
+    if bad is not None:
+        raise AssertionError(f"invariant element is not ad-invariant under e_{bad}")
     return om
 
 
@@ -212,7 +237,7 @@ def mcybe_check(alg: LieAlgebra, r: RMatrix, lam) -> Tensor3:
     disagreement raises AssertionError.
     """
     lam = rat(lam)
-    res = schouten(alg, r) + lam * omega(alg)
+    res = schouten(alg, r) + lam * cached_omega(alg)
     n = alg.dim // 2
     g_block = LieAlgebra(n, Tensor3.sparse(n, _j_block(alg)))
     mat = mcybe_matrix_residual(g_block, r.coeffs, lam)

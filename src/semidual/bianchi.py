@@ -65,41 +65,45 @@ class Classification:
         return self.bianchi.h
 
 
+# (x, y) -> (d, eps_xyd) for the six x != y; d is the remaining index
+_EPS = {(x, y): (3 - x - y, eps(x, y, 3 - x - y)) for x in range(3) for y in range(3) if x != y}
+
+
 def behr_decompose(g: LieAlgebra) -> BehrData:
-    """Split the structure constants into (n, a); round-trip asserted."""
+    """Split the structure constants into (n, a), reading each entry of the
+    table once; round-trip asserted.
+
+    With f the ints of g.f.int_table() over dt: 2 dt a_b = -sum_x f_xb^x and
+    2 dt m^{dc} = sum_xy eps_dxy f_xy^c, so n = (m + m^T)/2 has the ints
+    m + m^T over 4 dt.
+    """
     if g.dim != 3:
         raise NotThreeDimensional(f"dim {g.dim} != 3")
-    f = g.f
-    a = tuple(
-        Fraction(-1, 2) * sum((f[x, x_b, x] for x in range(3)), Fraction(0))
-        for x_b in range(3)
-    )
-    m = Matrix.build(
-        3,
-        3,
-        lambda d, c: Fraction(1, 2)
-        * sum(
-            (Fraction(eps(d, x, y)) * f[x, y, c] for x in range(3) for y in range(3)),
-            Fraction(0),
-        ),
-    )
-    n = (m + m.transpose()) * Fraction(1, 2)
-    rebuilt = _structure_from_behr(n, a)
-    if rebuilt != f:
+    dt, table = g.f.int_table()
+    a2 = [0, 0, 0]
+    m2 = [[0, 0, 0] for _ in range(3)]
+    for (x, y), row in table.items():
+        d, e = _EPS.get((x, y), (None, 0))
+        for c, v in row:
+            if c == x:
+                a2[y] -= v
+            if e:
+                m2[d][c] += e * v  # eps_dxy = eps_xyd
+    a = tuple(Fraction(v, 2 * dt) for v in a2)
+    n = Matrix([[Fraction(m2[d][c] + m2[c][d], 4 * dt) for c in range(3)] for d in range(3)])
+    if _structure_from_behr(n, a) != g.f:
         raise AssertionError("Behr decomposition does not reproduce the input")
     return BehrData(n, a)
 
 
 def _structure_from_behr(n: Matrix, a: Sequence[Fraction]) -> Tensor3:
-    def fn(x, y, c):
-        acc = a[x] * (1 if c == y else 0) - a[y] * (1 if c == x else 0)
-        for d in range(3):
-            e = eps(x, y, d)
-            if e:
-                acc += Fraction(e) * n[d, c]
-        return acc
-
-    return Tensor3.build(3, fn)
+    """C^c_xy = eps_xyd n^{dc} + a_x d^c_y - a_y d^c_x; the a terms cancel
+    for x = y, where eps vanishes too."""
+    entries = []
+    for (x, y), (d, e) in _EPS.items():
+        entries += [(x, y, c, e * v) for c, v in enumerate(n.row(d)) if v]
+        entries += ((x, y, y, a[x]), (x, y, x, -a[y]))
+    return Tensor3.sparse(3, entries)
 
 
 def algebra_from_behr(n, a) -> LieAlgebra:

@@ -87,7 +87,9 @@ def build_report(name: str, g: LieAlgebra, F: Matrix, lam: Fraction) -> Verifica
     The closure runs only when the factorisation residual vanishes; its
     double-cross-sum tensors then also feed the cocommutator.  The 3d
     quadratic and projected forms run only on so(3) and so(2,1), the
-    algebras they are derived for.
+    algebras they are derived for.  The semidual algebra, its invariant
+    element and g_lam depend on g (and lam) alone; they come from bounded
+    caches keyed by value, so each is built and checked once per algebra.
     """
     checks: list[Check] = []
     fact = factorize.factorization_check(g, F, lam)
@@ -118,7 +120,7 @@ def build_report(name: str, g: LieAlgebra, F: Matrix, lam: Fraction) -> Verifica
         checks.append(Check("projected traceless part", proj.traceless.is_zero(),
                             jsonio.matrix_components(proj.traceless)))
 
-    sd_alg = bialgebra.semidual_algebra(g)
+    sd_alg = bialgebra.cached_semidual_algebra(g)
     r = bialgebra.r_matrix(F)
     mcybe = bialgebra.mcybe_check(sd_alg, r, lam)
     checks.append(Check("mCYBE [[r,r]] + lambda Omega (tensor and matrix paths)",
@@ -268,9 +270,12 @@ def cmd_family(args) -> int:
     type_ok = expected is None or expected == computed
     fjson = jsonio.fmap_to_json(inst.F)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(fjson, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.out, "w") as fh:
+                json.dump(fjson, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise InputError(f"--out: cannot write {args.out}: {exc.strerror}") from exc
     if args.json:
         obj = _report_json(rep)
         obj["family"] = inst.family.value
@@ -301,8 +306,8 @@ def cmd_semidual(args) -> int:
     rep = build_report(*_load_inputs(args))
     fact = rep.checks[0]
     if not fact.passed:
-        comps = ", ".join(f"[{c['i']},{c['j']}]->J_{c['k']}: {c['v']}"
-                          for c in fact.components[:6])
+        comps = factorize.list_residual([(c["i"], c["j"], c["k"], c["v"])
+                                         for c in fact.components])
         print(f"FAIL: factorisation condition fails at {comps}")
         return 1
     delta = rep.delta

@@ -53,6 +53,14 @@ def _check_square(g: LieAlgebra, F: Matrix):
         raise DimensionMismatch(f"F is {F.rows}x{F.cols} but algebra dim is {g.dim}")
 
 
+def list_residual(entries) -> str:
+    """The first six residual components (a, b, c, v) as "[a,b]->J_c: v",
+    followed by ", and N more" when N further ones are left out."""
+    shown = ", ".join(f"[{a},{b}]->J_{c}: {v}" for a, b, c, v in entries[:6])
+    rest = len(entries) - 6
+    return shown + (f", and {rest} more" if rest > 0 else "")
+
+
 def dcs_constants(g: LieAlgebra, F: Matrix) -> tuple[Tensor3, Tensor3]:
     """Structure constants (g_ab^c, L_ab^c) of the would-be double cross sum.
 
@@ -147,14 +155,15 @@ def verify_closure_in_complexification(g: LieAlgebra, F: Matrix, lam) -> DoubleC
     _check_square(g, F)
     n = g.dim
     B = basis_change_matrix(F)
-    direct = lie.complexify(g, lam).f.change_basis(B, B.inverse())
+    direct = lie.cached_complexify(g, lam).f.change_basis(B, B.inverse())
 
     resid = [
         (i - n, j - n, c, v) for i, j, c, v in direct.nonzero() if i >= n and j >= n and c < n
     ]
     if resid:
-        comps = ", ".join(f"[{a},{b}]->J_{c}: {v}" for a, b, c, v in resid[:6])
-        raise ClosureFailure(f"factorisation condition fails; nonzero residual at {comps}")
+        raise ClosureFailure(
+            f"factorisation condition fails; nonzero residual at {list_residual(resid)}"
+        )
 
     gt, lt = dcs_constants(g, F)
     entries = [(n + a, n + b, n + c, v) for a, b, c, v in gt.nonzero()]

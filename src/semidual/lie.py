@@ -13,6 +13,8 @@ Conventions, fixed package-wide:
     only storage, so no algebra builds it twice.  Every bracket contraction
     and every derived algebra iterates it instead of probing f at all index
     triples.
+  * cached_complexify keeps g_lam per value of (g, lam) in a bounded
+    ValueCache; complexify itself always builds.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import DimensionMismatch, Matrix, Tensor3, rat, vec
+from .linalg import DimensionMismatch, Matrix, Tensor3, ValueCache, rat, vec
 
 
 class LieAlgebraError(ValueError):
@@ -57,8 +59,9 @@ class MetricError(LieAlgebraError):
 
 def check_antisymmetry(f: Tensor3) -> list[tuple[int, int, int]]:
     """(a, b, c) with a <= b where f_ab^c != -f_ba^c, sorted; the mirror
-    row (b, a) of each table row is read once."""
-    table = f.table
+    row (b, a) of each table row is read once, and the entries are compared
+    as the ints of f.int_table(), which share one denominator."""
+    _, table = f.int_table()
     bad = set()
     for (a, b), row in table.items():
         mirror = dict(table.get((b, a), ()))
@@ -116,6 +119,15 @@ class LieAlgebra:
     dim: int
     f: Tensor3
     metric: Matrix | None = None
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, self.f, self.metric))
+
+    def __hash__(self) -> int:
+        # an algebra is a key of the per-algebra caches; its fields are
+        # immutable, so the hash (one pass over f) is computed once
+        return self._hash
 
     @property
     def table(self) -> Mapping[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
@@ -255,6 +267,16 @@ def complexify(g: LieAlgebra, lam) -> LieAlgebra:
                 (n + a, n + b, c, lam * v),  # [Q_a, Q_b] = lam f_ab^c J_c
             )
     return make_lie_algebra(Tensor3.sparse(2 * n, entries))
+
+
+_COMPLEXIFIED = ValueCache()
+
+
+def cached_complexify(g: LieAlgebra, lam) -> LieAlgebra:
+    """complexify(g, lam), built (and Jacobi-checked) once per value of
+    (g, lam) while it stays among the cache's recent entries."""
+    lam = rat(lam)
+    return _COMPLEXIFIED.get((g, lam), lambda: complexify(g, lam))
 
 
 def theta(gl: LieAlgebra, x: Sequence, lam) -> tuple[Fraction, ...]:

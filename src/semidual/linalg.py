@@ -12,13 +12,18 @@ of the denominators (Tensor3.from_ints).
 Matrix convention, fixed package-wide: a matrix M represents the linear map
 J_a -> M[b][a] J_b, i.e. the column index is the input basis label and
 M.apply(x)[b] = sum_a M[b,a] x[a].
+
+Facts that depend on one input value only (a metric's inverse here, an
+algebra's complexification, semidual and invariant element elsewhere) are
+kept in ValueCaches: each holds at most CACHE_SIZE entries, keyed by value.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import defaultdict
+import threading
+from collections import OrderedDict, defaultdict
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Sequence
@@ -83,6 +88,51 @@ def _fsum(terms: list[Fraction]) -> Fraction:
 
 
 IntRows = list[list[tuple[int, int]]]
+
+# Entries per ValueCache: enough for every (algebra, lambda) pair of the
+# standard sweep (ten) to stay resident.
+CACHE_SIZE = 16
+_MISSING = object()
+
+
+class ValueCache:
+    """What was built from each of the CACHE_SIZE most recently used keys.
+
+    Keys are compared by value (hash and ==), never by id(), and keys and
+    values are held by strong references, so an entry can never answer for
+    a different object that happens to reuse a collected one's id.
+    """
+
+    instances: list["ValueCache"] = []
+
+    def __init__(self):
+        self.entries: OrderedDict = OrderedDict()
+        self.lock = threading.Lock()
+        ValueCache.instances.append(self)
+
+    def get(self, key, build: Callable[[], object]):
+        """The value stored for key, which becomes the most recently used.
+        On a miss build() is called, outside the lock (two threads may both
+        build an entry; the values are equal), and stored; the least
+        recently used entries beyond CACHE_SIZE are dropped."""
+        with self.lock:
+            value = self.entries.pop(key, _MISSING)
+            if value is not _MISSING:
+                self.entries[key] = value
+                return value
+        value = build()
+        with self.lock:
+            self.entries[key] = value
+            while len(self.entries) > CACHE_SIZE:
+                self.entries.popitem(last=False)
+        return value
+
+
+def clear_caches():
+    """Empty every ValueCache, so the next call of each cached helper builds."""
+    for cache in ValueCache.instances:
+        with cache.lock:
+            cache.entries.clear()
 
 
 def _integer_rows(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> tuple[int, IntRows]:
@@ -231,7 +281,7 @@ class Matrix:
         """Transpose w.r.t. an invertible symmetric metric: eta^-1 F^T eta."""
         if eta != eta.transpose():
             raise ValueError("metric is not symmetric")
-        return eta.inverse() @ self.transpose() @ eta
+        return _INVERSES.get(eta, eta.inverse) @ self.transpose() @ eta
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -292,6 +342,9 @@ class Matrix:
         if len(pivots) != n:
             raise ZeroDivisionError("matrix is singular")
         return Matrix._of(tuple(tuple(row[n:]) for row in reduced))
+
+
+_INVERSES = ValueCache()  # metric -> its inverse, for metric_transpose
 
 
 def adjugate_cofactor(m: Matrix) -> Matrix:
@@ -441,10 +494,11 @@ class Tensor3:
 
     Only the nonzero entries are stored: `table` is the read-only
     (i, j) -> ((k, t_ijk), ...) map, with the keys and each row's k in index
-    order.  Rows without a nonzero entry are absent.
+    order.  Rows without a nonzero entry are absent.  The integer table is
+    computed on first use and kept.
     """
 
-    __slots__ = ("dim", "table")
+    __slots__ = ("dim", "table", "_ints")
 
     def __init__(self, data: Iterable[Iterable[Iterable]]):
         cube = [[[rat(v) for v in row] for row in plane] for plane in data]
@@ -507,9 +561,14 @@ class Tensor3:
 
     def int_table(self) -> tuple[int, dict[tuple[int, int], list[tuple[int, int]]]]:
         """(den, table with every t_ijk replaced by the int den * t_ijk), den
-        the lcm of the denominators (1 for the zero tensor)."""
-        den, rows = _integer_rows(self.table.values())
-        return den, dict(zip(self.table, rows))
+        the lcm of the denominators (1 for the zero tensor).  Built once per
+        tensor and shared by every caller, which only reads it."""
+        try:
+            return self._ints
+        except AttributeError:
+            den, rows = _integer_rows(self.table.values())
+            self._ints = (den, dict(zip(self.table, rows)))
+            return self._ints
 
     def __getitem__(self, key) -> Fraction:
         i, j, k = key

@@ -23,7 +23,17 @@ from semidual.factorize import basis_change_matrix, dcs_constants, factorization
 from semidual.lie import JacobiViolation, check_jacobi, make_lie_algebra, so3, so21
 from semidual.linalg import Matrix, Tensor3
 from semidual.solutions import generalized_kappa, standard_sweep
-from conftest import dense_basis_change, dense_co_jacobi, dense_r_tensor, rng_matrix
+from semidual.bianchi import canonical_representatives, change_basis
+from semidual.lie import LieAlgebra
+from conftest import (
+    dense_basis_change,
+    dense_co_jacobi,
+    dense_r_tensor,
+    loop_omega,
+    rng_invertible,
+    rng_matrix,
+    rng_rat,
+)
 
 rationals = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 matrices = st.lists(
@@ -145,6 +155,15 @@ class TestSemidualize:
         comps = ", ".join(f"[{a},{b}]->J_{c}: {v}" for a, b, c, v in resid[:6])
         assert out == f"FAIL: factorisation condition fails at {comps}\n"
 
+    def test_long_residual_counts_what_is_left_out(self, run_semidual, lorentz):
+        F = Matrix([[1, 2, 0], [0, Fraction(1, 3), 0], [5, 0, 1]])
+        code, out = run_semidual(F, 1)
+        assert code == 1
+        resid = factorization_check(lorentz, F, 1).nonzero()
+        assert len(resid) == 16
+        comps = ", ".join(f"[{a},{b}]->J_{c}: {v}" for a, b, c, v in resid[:6])
+        assert out == f"FAIL: factorisation condition fails at {comps}, and 10 more\n"
+
     @pytest.mark.parametrize("entries", [
         [(3, 4, 5, 1)],  # partner entry absent
         [(3, 4, 5, 1), (3, 5, 4, 1)],  # partner present with the wrong sign
@@ -224,6 +243,64 @@ class TestOmega:
 
         with pytest.raises(ValueError):
             omega(complexify(euclid, 1))
+
+
+def omega_outcome(build, alg):
+    try:
+        return build(alg)
+    except AssertionError as exc:
+        return str(exc)
+
+
+class TestOmegaPairsTableRows:
+    """omega's invariance check pairs each table row (x, s) with the Omega
+    entries holding s; it must agree exactly with the per-generator loop in
+    conftest, including the e_x its error names."""
+
+    def algebras(self):
+        rng = random.Random(11)
+        e, l = so3(), so21()
+        yield from (e, l)
+        for rep in canonical_representatives().values():
+            yield change_basis(rep, rng_invertible(rng))
+        # so3 (+) so21 with each block scaled, and a dim-9 sum conjugated
+        for blocks in ((e, l), (l, e, l)):
+            entries = []
+            for k, base in enumerate(blocks):
+                o, scale = 3 * k, rng_rat(rng) or 1
+                entries += [(o + a, o + b, o + c, scale * v) for a, b, c, v in base.f.nonzero()]
+            g = make_lie_algebra(Tensor3.sparse(3 * len(blocks), entries))
+            yield g
+            yield change_basis(g, rng_invertible(rng, g.dim))
+
+    def test_semidual_algebras(self):
+        for g in self.algebras():
+            sd = semidual_algebra(g)
+            assert omega(sd) == loop_omega(sd)
+
+    def test_trivial_action_is_not_invariant(self, euclid):
+        # so3 (+) R^3: the P block is abelian, but so3 does not act on it
+        alg = make_lie_algebra(Tensor3.sparse(6, euclid.f.nonzero()))
+        assert omega_outcome(omega, alg) == omega_outcome(loop_omega, alg) == (
+            "invariant element is not ad-invariant under e_0")
+
+    def test_planted_entries_name_the_same_generator(self):
+        # one extra [x, y] entry that keeps the P block abelian; the
+        # structure need not be a Lie algebra, omega does not ask
+        rng = random.Random(12)
+        failures = 0
+        for g in self.algebras():
+            sd = semidual_algebra(g)
+            n2 = sd.dim
+            for _ in range(4):
+                x, y = rng.randrange(n2), rng.randrange(n2 // 2)
+                c = rng.randrange(n2)
+                planted = sd.f + Tensor3.sparse(n2, [(x, y, c, rng_rat(rng) or 1)])
+                alg = LieAlgebra(n2, planted)
+                got = omega_outcome(omega, alg)
+                assert got == omega_outcome(loop_omega, alg)
+                failures += isinstance(got, str)
+        assert failures > 20
 
 
 class TestSchouten:

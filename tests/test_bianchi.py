@@ -2,15 +2,19 @@ import random
 
 import pytest
 
+from fractions import Fraction
+
 from semidual.bianchi import (
     JacobiFails,
     NotThreeDimensional,
+    _structure_from_behr,
     algebra_from_behr,
     behr_decompose,
     canonical_representatives,
     change_basis,
     classify,
 )
+from semidual.factorize import verify_closure_in_complexification
 from semidual.lie import JacobiViolation, LieAlgebra, complexify, make_lie_algebra
 from semidual.linalg import Matrix, Tensor3
 from semidual.solutions import (
@@ -18,8 +22,16 @@ from semidual.solutions import (
     generalized_kappa,
     large_jordan,
     small_jordan,
+    standard_sweep,
 )
-from conftest import classify_factor, rng_matrix
+from conftest import (
+    classify_factor,
+    probe_behr_decompose,
+    probe_structure_from_behr,
+    rng_invertible,
+    rng_matrix,
+    rng_rat,
+)
 
 
 def random_invertible(rng, span=2):
@@ -84,6 +96,44 @@ class TestBehr:
         with pytest.raises(JacobiViolation):
             algebra_from_behr(Matrix.diagonal([1, 0, 0]), (1, 0, 0))
         algebra_from_behr(Matrix.diagonal([0, 1, -1]), (1, 0, 0))
+
+
+class TestBehrReadsTheTable:
+    """behr_decompose reads (n, a) off the bracket table and rebuilds with
+    Tensor3.sparse; it must return exactly what the index-probing version
+    in conftest returns."""
+
+    def test_conjugated_representatives(self):
+        rng = random.Random(20261018)
+        for rep in canonical_representatives().values():
+            for _ in range(6):
+                g = change_basis(rep, rng_invertible(rng))
+                behr = behr_decompose(g)
+                assert behr == probe_behr_decompose(g)
+                assert all(type(v) is Fraction for v in behr.a + sum(behr.n.data, ()))
+
+    def test_sweep_m_algebras(self):
+        sweep = list(standard_sweep())
+        assert len(sweep) == 138
+        for inst in sweep:
+            m = verify_closure_in_complexification(inst.algebra, inst.F, inst.lam).m_algebra
+            assert behr_decompose(m) == probe_behr_decompose(m)
+
+    def test_structure_from_arbitrary_data(self):
+        # no Jacobi condition: any symmetric n and any a
+        rng = random.Random(5)
+        for _ in range(50):
+            s = rng_matrix(rng)
+            n = s + s.transpose()
+            a = tuple(rng_rat(rng) for _ in range(3))
+            assert _structure_from_behr(n, a) == probe_structure_from_behr(n, a)
+
+    def test_round_trip_failure_is_the_same(self):
+        # a table that no (n, a) reproduces: f_01^2 without its mirror
+        g = LieAlgebra(3, Tensor3.sparse(3, [(0, 1, 2, 1)]))
+        for split in (behr_decompose, probe_behr_decompose):
+            with pytest.raises(AssertionError, match="does not reproduce the input"):
+                split(g)
 
 
 class TestClassifyCanonical:

@@ -6,7 +6,7 @@ import pytest
 
 from semidual import bialgebra, factorize, jsonio, lie
 from semidual.cli import build_parser, build_report, main
-from semidual.linalg import Matrix
+from semidual.linalg import Matrix, clear_caches
 from semidual.solutions import generalized_kappa
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -265,6 +265,16 @@ class TestFamily:
         emitted = json.loads(out_file.read_text())
         assert emitted == IDENTITY
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_unwritable_out_exit_two(self, capsys, tmp_path, json_flag):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, [
+            "family", "--family", "zero", "--lambda", "0", "--out", str(target), *json_flag,
+        ])
+        assert (code, out) == (2, "")
+        assert err == f"error: --out: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
     def test_genkappa_euclidean(self, capsys):
         code, out, _ = run(capsys, [
             "family", "--family", "genkappa", "--v", "1,0,0", "--alpha", "1",
@@ -421,6 +431,11 @@ class TestSelftest:
 class TestBuildReportRunsEachStageOnce:
     STAGES = ("factorization_check", "dcs_constants", "verify_closure_in_complexification")
 
+    @pytest.fixture(autouse=True)
+    def cold_caches(self):
+        # the per-algebra facts are built on a report's first use of g
+        clear_caches()
+
     def count_stages(self, monkeypatch):
         counts = dict.fromkeys(self.STAGES, 0)
         for name in self.STAGES:
@@ -472,6 +487,17 @@ class TestBuildReportRunsEachStageOnce:
         assert code == 0
         assert counts == dict.fromkeys(self.STAGES, 1)
         assert bi_counts == dict.fromkeys(self.BIALGEBRA_STAGES, 1)
+
+    def test_second_report_reuses_the_facts_about_g(self, monkeypatch, lorentz):
+        inst = generalized_kappa(lorentz, (0, 1, 0), 2, 1, 1)
+        build_report("so21", inst.algebra, inst.F, inst.lam)
+        calls = []
+        for mod, name in ((bialgebra, "semidual_algebra"), (bialgebra, "omega"),
+                          (lie, "complexify")):
+            monkeypatch.setattr(mod, name, lambda *args, _name=name: calls.append(_name))
+        rep = build_report("so21", inst.algebra, inst.F, inst.lam)
+        assert rep.passed and rep.classification.label == "VI"
+        assert calls == []
 
     def test_semidual_subcommand_failing_f(self, monkeypatch, capsys, identity_file):
         counts = self.count_stages(monkeypatch)

@@ -13,6 +13,7 @@ from semidual.factorize import (
     dcs_constants,
     factorization_check,
     lemma_kernel_checks,
+    list_residual,
     master_residual,
     projected_equations,
     quadratic_condition,
@@ -135,6 +136,17 @@ class TestClosure:
         assert b.col(3) == (2, 0, 0, 1, 0, 0)
 
 
+class TestListResidual:
+    def test_six_shown_then_a_count(self):
+        entries = [(0, 1, c, Fraction(c + 1, 2)) for c in range(8)]
+        shown = ", ".join(f"[0,1]->J_{c}: {Fraction(c + 1, 2)}" for c in range(6))
+        assert list_residual(entries[:5]) == shown.rsplit(", ", 1)[0]
+        assert list_residual(entries[:6]) == shown
+        assert list_residual(entries[:7]) == shown + ", and 1 more"
+        assert list_residual(entries) == shown + ", and 2 more"
+        assert list_residual([]) == ""
+
+
 class TestClosureReadsResidual:
     """The J-part of [Q'_a, Q'_b] in the (J, Q') basis is the factorisation
     residual: the closure's failure lists exactly the components of
@@ -155,9 +167,10 @@ class TestClosureReadsResidual:
                 try:
                     dcs = verify_closure_in_complexification(g, F, lam)
                 except ClosureFailure as exc:
-                    comps = ", ".join(
-                        f"[{a},{b}]->J_{c}: {v}" for a, b, c, v in resid.nonzero()[:6]
-                    )
+                    nz = resid.nonzero()
+                    comps = ", ".join(f"[{a},{b}]->J_{c}: {v}" for a, b, c, v in nz[:6])
+                    if len(nz) > 6:
+                        comps += f", and {len(nz) - 6} more"
                     assert str(exc) == f"factorisation condition fails; nonzero residual at {comps}"
                     continue
                 assert resid.is_zero()

@@ -7,6 +7,7 @@ than so3/so21 and with random rational maps.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -303,6 +304,25 @@ class TestChecksMatchDenseLoops:
             with pytest.raises(AntisymmetryViolation) as exc:
                 make_lie_algebra(f)
             assert exc.value.indices == bad[0]
+
+    def test_planted_wide_rational_asymmetry(self, case):
+        # the check compares the ints of f.int_table(): with 30-bit and wider
+        # numerators and denominators, one pair is off by 1/15^21 and one is
+        # exact, on top of the algebra's own constants
+        g, rng = case
+        n = g.dim
+        for _ in range(3):
+            (a, b), (x, y) = (sorted(rng.sample(range(n), 2)) for _ in range(2))
+            c, z = rng.randrange(n), rng.randrange(n)
+            # numerators prime to 15 over 3^21 and 5^15: nothing cancels
+            p, q = (15 * (rng.getrandbits(32) | (1 << 31)) + 1 for _ in range(2))
+            v, w = Fraction(p, 3**21), Fraction(q, 5**15)
+            assert all(t.bit_length() >= 30 for u in (v, w) for t in u.as_integer_ratio())
+            extra = [(a, b, c, v), (b, a, c, -v + Fraction(1, 15**21)), (x, y, z, w), (y, x, z, -w)]
+            f = Tensor3.sparse(n, g.f.nonzero() + extra)
+            bad = dense_antisymmetry(f)
+            assert (a, b, c) in bad
+            assert check_antisymmetry(f) == bad
 
     def test_jacobi_on_valid_algebras(self, case):
         g, _ = case
