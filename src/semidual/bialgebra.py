@@ -18,9 +18,9 @@ where C are the structure constants of the 2n-dim semidual algebra.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .lie import LieAlgebra, make_lie_algebra
 from .linalg import DimensionMismatch, Matrix, Tensor3, ValueCache, rat
@@ -29,19 +29,19 @@ from .linalg import DimensionMismatch, Matrix, Tensor3, ValueCache, rat
 def semidual_algebra(g: LieAlgebra) -> LieAlgebra:
     """The 2n-dim Lie algebra of the semidual on the (J, P) basis."""
     n = g.dim
-    entries = []
-    for (a, b), row in g.table.items():
+    dt, table = g.f.int_table()
+    sums = defaultdict(int)
+    for (a, b), row in table.items():
         for c, v in row:
-            entries += (
-                (a, b, c, v),  # [J_a, J_b] = f_ab^c J_c
-                (a, n + c, n + b, -v),  # [J_a, P^c] = -f_ab^c P^b
-                (n + c, a, n + b, v),  # [P^c, J_a] = f_ab^c P^b
-            )
-    return make_lie_algebra(Tensor3.sparse(2 * n, entries))
+            sums[a, b, c] += v  # [J_a, J_b] = f_ab^c J_c
+            sums[a, n + c, n + b] -= v  # [J_a, P^c] = -f_ab^c P^b
+            sums[n + c, a, n + b] += v  # [P^c, J_a] = f_ab^c P^b
+    return make_lie_algebra(Tensor3.from_ints(2 * n, dt, sums))
 
 
 _SEMIDUALS = ValueCache()
 _OMEGAS = ValueCache()
+_J_BLOCKS = ValueCache()
 
 
 def cached_semidual_algebra(g: LieAlgebra) -> LieAlgebra:
@@ -65,22 +65,27 @@ def dualco_delta(gt: Tensor3, lt: Tensor3) -> Tensor3:
     satisfies the factorisation condition.
     """
     n = gt.dim
-    entries = []
-    for a, b, c, v in lt.nonzero():
-        entries += (
-            (b, c, n + a, v),  # delta(J_b) has L_ab^c J_c (x) P^a
-            (b, n + a, c, -v),  # and -L_ab^c P^a (x) J_c
-        )
-    for a, b, c, v in gt.nonzero():
-        entries.append((n + c, n + a, n + b, v))  # delta(P^c) has g_ab^c P^a (x) P^b
-    return Tensor3.sparse(2 * n, entries)
+    (dg, gints), (dl, lints) = gt.int_table(), lt.int_table()
+    den = math.lcm(dg, dl)
+    sums = defaultdict(int)
+    for (a, b), row in lints.items():
+        for c, v in row:
+            v *= den // dl
+            sums[b, c, n + a] += v  # delta(J_b) has L_ab^c J_c (x) P^a
+            sums[b, n + a, c] -= v  # and -L_ab^c P^a (x) J_c
+    for (a, b), row in gints.items():
+        for c, v in row:
+            sums[n + c, n + a, n + b] += v * (den // dg)  # delta(P^c) has g_ab^c P^a (x) P^b
+    return Tensor3.from_ints(2 * n, den, sums)
 
 
 def dual_bracket(delta: Tensor3) -> Tensor3:
     """The bracket [e^j, e^k] = delta[i][j][k] e^i that delta puts on the dual
     space, t[j, k, i] = delta[i, j, k].  delta is antisymmetric and satisfies
     co-Jacobi exactly when t is antisymmetric and satisfies Jacobi."""
-    return Tensor3.sparse(delta.dim, [(j, k, i, v) for i, j, k, v in delta.nonzero()])
+    den, ints = delta.int_table()
+    return Tensor3.from_ints(delta.dim, den, {
+        (j, k, i): v for (i, j), row in ints.items() for k, v in row})
 
 
 @dataclass(frozen=True)
@@ -97,9 +102,10 @@ def r_matrix(F: Matrix) -> RMatrix:
     2n x 2n tensor is [[0, -F], [F^T, 0]] on (J, P)."""
     if F.rows != F.cols:
         raise DimensionMismatch("r-matrix coefficients must be square")
-    zero = (Fraction(0),) * F.rows
-    top = [zero + tuple(-v for v in row) for row in F.data]
-    return RMatrix(F, Matrix(top + [col + zero for col in F.transpose().data]))
+    n = F.rows
+    den, rows = F.int_rows()
+    top = [[(n + j, -v) for j, v in row] for row in rows]
+    return RMatrix(F, Matrix.from_ints(2 * n, den, top + F.transpose().int_rows()[1]))
 
 
 def coboundary_delta(alg: LieAlgebra, r: RMatrix) -> Tensor3:
@@ -120,14 +126,15 @@ def coboundary_delta(alg: LieAlgebra, r: RMatrix) -> Tensor3:
     return Tensor3.from_ints(n2, dt * dr, acc)
 
 
-def _j_block(alg: LieAlgebra) -> list[tuple[int, int, int, Fraction]]:
-    """The (a, b, c, f_ab^c) entries of [J_a, J_b] = f_ab^c J_c in a (J, P) algebra."""
+def _j_block(alg: LieAlgebra) -> Tensor3:
+    """The n-dim tensor f_ab^c of [J_a, J_b] = f_ab^c J_c in a (J, P) algebra."""
     n = alg.dim // 2
-    return [
-        (a, b, c, v)
-        for (a, b), row in alg.table.items() if a < n and b < n
+    den, ints = alg.f.int_table()
+    return Tensor3.from_ints(n, den, {
+        (a, b, c): v
+        for (a, b), row in ints.items() if a < n and b < n
         for c, v in row if c < n
-    ]
+    })
 
 
 def omega(alg: LieAlgebra) -> Tensor3:
@@ -140,18 +147,21 @@ def omega(alg: LieAlgebra) -> Tensor3:
     if n2 % 2 != 0:
         raise DimensionMismatch("invariant element needs a (J, P) algebra")
     n = n2 // 2
-    table = alg.table
-    if any(a >= n and b >= n for a, b in table):
+    _, ints = alg.f.int_table()
+    if any(a >= n and b >= n for a, b in ints):
         raise ValueError("P generators are not abelian")
-    entries = []
-    for a, b, c, v in _j_block(alg):
-        entries += ((n + a, n + b, c, v), (n + a, c, n + b, -v), (c, n + a, n + b, v))
-    om = Tensor3.sparse(n2, entries)
+    dj, jints = _j_block(alg).int_table()
+    sums = defaultdict(int)
+    for (a, b), row in jints.items():
+        for c, v in row:
+            sums[n + a, n + b, c] += v
+            sums[n + a, c, n + b] -= v
+            sums[c, n + a, n + b] += v
+    om = Tensor3.from_ints(n2, dj, sums)
     # (ad_x Omega)^pqr = f_xs^p Omega^sqr + f_xs^q Omega^psr + f_xs^r Omega^pqs:
     # each table row (x, s) meets the Omega entries that hold s in one slot.
     # The sums are products of one f and one Omega entry, so their ints
     # share one denominator and vanish exactly when the sums do.
-    _, ints = alg.f.int_table()
     _, om_ints = om.int_table()
     # per slot: s -> [(the other two indices, the Omega entry)]
     first, second, third = {}, {}, {}
@@ -239,12 +249,17 @@ def mcybe_check(alg: LieAlgebra, r: RMatrix, lam) -> Tensor3:
     lam = rat(lam)
     res = schouten(alg, r) + lam * cached_omega(alg)
     n = alg.dim // 2
-    g_block = LieAlgebra(n, Tensor3.sparse(n, _j_block(alg)))
+    # the J block depends on alg alone: built once per algebra, like Omega
+    g_block = _J_BLOCKS.get(alg, lambda: LieAlgebra(n, _j_block(alg)))
     mat = mcybe_matrix_residual(g_block, r.coeffs, lam)
+    # v / dr == w / dm exactly when v dm == w dr
+    (dr, rints), (dm, mints) = res.int_table(), mat.int_table()
     block = {
-        (i - n, j - n, k): v for i, j, k, v in res.nonzero() if i >= n and j >= n and k < n
+        (i - n, j - n, k): v * dm
+        for (i, j), row in rints.items() if i >= n and j >= n
+        for k, v in row if k < n
     }
-    expected = {(e, a, c): v for e, a, c, v in mat.nonzero()}
+    expected = {(e, a, c): v * dr for (e, a), row in mints.items() for c, v in row}
     if block != expected:
         e, a, c = min(
             key for key in block.keys() | expected.keys() if block.get(key) != expected.get(key)

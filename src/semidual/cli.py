@@ -134,9 +134,10 @@ def build_report(name: str, g: LieAlgebra, F: Matrix, lam: Fraction) -> Verifica
     m_brackets = None
     classification = None
     if dcs is not None:
+        den, ints = dcs.g_tensor.int_table()
         m_brackets = [
-            f"[Q'_{a},Q'_{b}] = " + _linear_combo([(v, f"Q'_{c}") for c, v in row])
-            for (a, b), row in dcs.g_tensor.table.items()
+            f"[Q'_{a},Q'_{b}] = " + _linear_combo([(Fraction(v, den), f"Q'_{c}") for c, v in row])
+            for (a, b), row in ints.items()
             if a < b
         ] or ["all Q' commute (abelian m)"]
         if g.dim == 3:

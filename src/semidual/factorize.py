@@ -15,6 +15,7 @@ callers can report exactly which component fails.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,11 +133,11 @@ class DoubleCrossSum:
 
 def basis_change_matrix(F: Matrix) -> Matrix:
     """2n x 2n matrix whose columns are (J_a, Q'_a = Q_a + F^b_a J_b):
-    the block matrix [[1, F], [0, 1]]."""
+    the block matrix [[1, F], [0, 1]], over F's denominator."""
     n = F.rows
-    zero, one = Fraction(0), Fraction(1)
-    unit = [(zero,) * i + (one,) + (zero,) * (n - 1 - i) for i in range(n)]
-    return Matrix([u + row for u, row in zip(unit, F.data)] + [(zero,) * n + u for u in unit])
+    den, rows = F.int_rows()
+    top = [[(i, den)] + [(n + j, v) for j, v in row] for i, row in enumerate(rows)]
+    return Matrix.from_ints(2 * n, den, top + [[(n + i, den)] for i in range(n)])
 
 
 def verify_closure_in_complexification(g: LieAlgebra, F: Matrix, lam) -> DoubleCrossSum:
@@ -157,8 +158,11 @@ def verify_closure_in_complexification(g: LieAlgebra, F: Matrix, lam) -> DoubleC
     B = basis_change_matrix(F)
     direct = lie.cached_complexify(g, lam).f.change_basis(B, B.inverse())
 
+    dd, ints = direct.int_table()
     resid = [
-        (i - n, j - n, c, v) for i, j, c, v in direct.nonzero() if i >= n and j >= n and c < n
+        (i - n, j - n, c, Fraction(v, dd))
+        for (i, j), row in ints.items() if i >= n and j >= n
+        for c, v in row if c < n
     ]
     if resid:
         raise ClosureFailure(
@@ -166,12 +170,24 @@ def verify_closure_in_complexification(g: LieAlgebra, F: Matrix, lam) -> DoubleC
         )
 
     gt, lt = dcs_constants(g, F)
-    entries = [(n + a, n + b, n + c, v) for a, b, c, v in gt.nonzero()]
-    for a, b, c, v in g.f.nonzero():
-        entries += ((a, b, c, v), (n + a, b, n + c, v), (b, n + a, n + c, -v))
-    for a, b, c, v in lt.nonzero():
-        entries += ((n + a, b, c, v), (b, n + a, c, -v))
-    expected = Tensor3.sparse(2 * n, entries)
+    (dg, gints), (dt, fints), (dl, lints) = gt.int_table(), g.f.int_table(), lt.int_table()
+    den = math.lcm(dg, dt, dl)
+    sums = defaultdict(int)
+    for (a, b), row in gints.items():
+        for c, v in row:
+            sums[n + a, n + b, n + c] += v * (den // dg)
+    for (a, b), row in fints.items():
+        for c, v in row:
+            v *= den // dt
+            sums[a, b, c] += v
+            sums[n + a, b, n + c] += v
+            sums[b, n + a, n + c] -= v
+    for (a, b), row in lints.items():
+        for c, v in row:
+            v *= den // dl
+            sums[n + a, b, c] += v
+            sums[b, n + a, c] -= v
+    expected = Tensor3.from_ints(2 * n, den, sums)
 
     if direct != expected:
         i, j = min(

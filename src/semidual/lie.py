@@ -8,11 +8,11 @@ Conventions, fixed package-wide:
   * complexify(g, lam) returns the 2n-dim algebra on (J_0..J_{n-1},
     Q_0..Q_{n-1}) with [Q_a, J_b] = f_ab^c Q_c, [Q_a, Q_b] = lam f_ab^c J_c.
     Indices 0..n-1 are J and n..2n-1 are Q; downstream code relies on this.
-  * Code reads f through LieAlgebra.table, which is f.table: the sparse
-    read-only (a, b) -> ((c, f_ab^c), ...) map that Tensor3 stores as its
-    only storage, so no algebra builds it twice.  Every bracket contraction
-    and every derived algebra iterates it instead of probing f at all index
-    triples.
+  * Code reads f through f.int_table(): the sparse read-only
+    (a, b) -> ((c, n_ab^c), ...) map of ints over one denominator that
+    Tensor3 stores, so no algebra builds it twice.  Every bracket
+    contraction and every derived algebra iterates it instead of probing f
+    at all index triples; LieAlgebra.table is its Fraction view.
   * cached_complexify keeps g_lam per value of (g, lam) in a bounded
     ValueCache; complexify itself always builds.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import DimensionMismatch, Matrix, Tensor3, ValueCache, rat, vec
+from .linalg import DimensionMismatch, Matrix, Tensor3, ValueCache, int_vector, rat, vec
 
 
 class LieAlgebraError(ValueError):
@@ -141,19 +141,16 @@ class LieAlgebra:
         return x
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
-        xs, ys = self.element(x), self.element(y)
-        table = self.table
-        out = [Fraction(0)] * self.dim
-        ysupport = [(b, w) for b, w in enumerate(ys) if w]
-        for a, u in enumerate(xs):
-            if u:
-                for b, w in ysupport:
-                    entries = table.get((a, b))
-                    if entries:
-                        xy = u * w
-                        for c, v in entries:
-                            out[c] += v * xy
-        return tuple(out)
+        """X^a Y^b f_ab^c, over the supports of x and y, in ints."""
+        dt, table = self.f.int_table()
+        (dx, xs), (dy, ys) = int_vector(self.element(x)), int_vector(self.element(y))
+        out = [0] * self.dim
+        for a, u in xs:
+            for b, w in ys:
+                for c, v in table.get((a, b), ()):
+                    out[c] += v * u * w
+        den = dt * dx * dy
+        return tuple(Fraction(v, den) for v in out)
 
     def inner(self, x: Sequence, y: Sequence) -> Fraction:
         if self.metric is None:
@@ -164,14 +161,15 @@ class LieAlgebra:
 
     def ad(self, v: Sequence) -> Matrix:
         """Matrix of ad_V: J_b -> [V, J_b], i.e. ad_V[c][b] = V^a f_ab^c."""
-        vs = self.element(v)
-        n = self.dim
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for (a, b), entries in self.table.items():
-            if vs[a]:
+        dt, table = self.f.int_table()
+        dv, vs = int_vector(self.element(v))
+        coeffs, n = dict(vs), self.dim
+        m = [[0] * n for _ in range(n)]
+        for (a, b), entries in table.items():
+            if a in coeffs:
                 for c, w in entries:
-                    m[c][b] += vs[a] * w
-        return Matrix(m)
+                    m[c][b] += coeffs[a] * w
+        return Matrix.from_ints(n, dt * dv, [[(b, x) for b, x in enumerate(r) if x] for r in m])
 
     def basis(self) -> list[tuple[Fraction, ...]]:
         return [
@@ -255,18 +253,17 @@ def complexify(g: LieAlgebra, lam) -> LieAlgebra:
     g |x R^n, lam = 1 is isomorphic to g (+) g.  Jacobi is re-verified as a
     self-check even though it holds automatically.
     """
-    lam = rat(lam)
+    p, q = rat(lam).as_integer_ratio()
     n = g.dim
-    entries = []
-    for (a, b), row in g.table.items():
+    dt, table = g.f.int_table()
+    sums = defaultdict(int)  # over dt q
+    for (a, b), row in table.items():
         for c, v in row:
-            entries += (
-                (a, b, c, v),  # [J_a, J_b] = f_ab^c J_c
-                (n + a, b, n + c, v),  # [Q_a, J_b] = f_ab^c Q_c
-                (b, n + a, n + c, -v),  # [J_b, Q_a] = -f_ab^c Q_c
-                (n + a, n + b, c, lam * v),  # [Q_a, Q_b] = lam f_ab^c J_c
-            )
-    return make_lie_algebra(Tensor3.sparse(2 * n, entries))
+            sums[a, b, c] += q * v  # [J_a, J_b] = f_ab^c J_c
+            sums[n + a, b, n + c] += q * v  # [Q_a, J_b] = f_ab^c Q_c
+            sums[b, n + a, n + c] -= q * v  # [J_b, Q_a] = -f_ab^c Q_c
+            sums[n + a, n + b, c] += p * v  # [Q_a, Q_b] = lam f_ab^c J_c
+    return make_lie_algebra(Tensor3.from_ints(2 * n, dt * q, sums))
 
 
 _COMPLEXIFIED = ValueCache()

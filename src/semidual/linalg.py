@@ -4,10 +4,15 @@ Every coefficient in this package is a fractions.Fraction; nothing is ever
 rounded.  Rationals serialize as "p/q" (or "p") strings and are parsed
 strictly: no decimals, no zero denominators.
 
-The hot kernels are fraction-free: each scales its inputs once to Python
-ints over one common denominator (Matrix.int_rows, Tensor3.int_table),
-sums products of ints, and divides only the nonzero sums by the product
-of the denominators (Tensor3.from_ints).
+Tensor3 stores ints over one positive denominator, reduced so that equal
+tensors have equal storage; its Fraction table is built only when read.
+The hot kernels are fraction-free: each reads its inputs as ints over one
+common denominator (Tensor3.int_table, the memoised Matrix.int_rows), sums
+products of ints, and hands the sums and the product of the denominators
+to Tensor3.from_ints, which divides by their gcd.  Inverse, rank, solve and
+nullspace share one fraction-free Gauss-Jordan elimination on int rows, and
+det is Bareiss's (Math. Comp. 22 (1968) 565); only their results are
+Fractions.
 
 Matrix convention, fixed package-wide: a matrix M represents the linear map
 J_a -> M[b][a] J_b, i.e. the column index is the input basis label and
@@ -26,7 +31,7 @@ import threading
 from collections import OrderedDict, defaultdict
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Scalar = Fraction
 
@@ -35,7 +40,8 @@ class DimensionMismatch(ValueError):
     pass
 
 
-_RATIONAL = re.compile(r"([+-]?\d+)\s*(?:/\s*(\d+))?")
+# ASCII digits only: \d and int() would also take other scripts' digits
+_RATIONAL = re.compile(r"([+-]?\d+)\s*(?:/\s*(\d+))?", re.ASCII)
 
 
 def rat(value) -> Fraction:
@@ -75,16 +81,6 @@ def vec_is_zero(x: Sequence) -> bool:
 
 
 _ZERO = Fraction(0)
-
-
-def _fsum(terms: list[Fraction]) -> Fraction:
-    """Exact sum of Fractions, without the extra addition of a zero start."""
-    if not terms:
-        return _ZERO
-    total = terms[0]
-    for t in terms[1:]:
-        total += t
-    return total
 
 
 IntRows = list[list[tuple[int, int]]]
@@ -135,19 +131,59 @@ def clear_caches():
             cache.entries.clear()
 
 
-def _integer_rows(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> tuple[int, IntRows]:
-    """Rows of (index, rational) pairs as Python ints over one denominator:
-    (den, [[(index, den * v), ...], ...]), with den the lcm of every
-    denominator (1 when there is none) and the zero values dropped."""
-    ratios = [[(k, v.as_integer_ratio()) for k, v in row] for row in rows]
-    den = math.lcm(*(q for row in ratios for _, (_, q) in row))
-    return den, [[(k, p * (den // q)) for k, (p, q) in row if p] for row in ratios]
+def int_vector(values: Iterable[Fraction]) -> tuple[int, list[tuple[int, int]]]:
+    """(den, [(i, den * v_i), ...]) over the nonzero v_i, den the lcm of the
+    denominators (1 when there is none)."""
+    ratios = [(i, v.as_integer_ratio()) for i, v in enumerate(values)]
+    den = math.lcm(*(q for _, (_, q) in ratios))
+    return den, [(i, p * (den // q)) for i, (p, q) in ratios if p]
+
+
+def _dense(rows: IntRows, width: int) -> list[list[int]]:
+    """Sparse int rows as dense lists of the given width."""
+    out = []
+    for row in rows:
+        d = [0] * width
+        for j, v in row:
+            d[j] = v
+        out.append(d)
+    return out
+
+
+def _eliminate(rows: list[list[int]], stop: int) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of dense int rows, in place,
+    pivoting in the columns before stop; returns the pivot columns.  Row r
+    then divided by its entry at pivots[r] is row r of the reduced row
+    echelon form.  A pivot p changes only the rows with a nonzero f in its
+    column, to (p row_i - f row_r) / gcd(p, f) divided by its content."""
+    pivots: list[int] = []
+    r = 0
+    for c in range(stop):
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                g = math.gcd(p, f)
+                s, t = p // g, f // g
+                row = [s * v - t * w if w else s * v for v, w in zip(row, prow)]
+                g = math.gcd(*row)
+                rows[i] = [v // g for v in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 class Matrix:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable dense matrix of exact rationals; int_rows() is kept."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_ints")
 
     def __init__(self, data: Iterable[Iterable]):
         rows = tuple(tuple(rat(v) for v in row) for row in data)
@@ -168,6 +204,22 @@ class Matrix:
         m.rows = len(rows)
         m.cols = len(rows[0])
         m.data = rows
+        return m
+
+    @classmethod
+    def from_ints(cls, cols: int, den: int, rows: IntRows) -> "Matrix":
+        """The matrix with entry v / den at each (j, v) of row i of rows
+        (nonzero ints, j increasing, den > 0); rows and den divided by their
+        gcd are its int_rows()."""
+        g = math.gcd(den, *(v for row in rows for _, v in row))
+        if g > 1:
+            den, rows = den // g, [[(j, v // g) for j, v in row] for row in rows]
+        data = [[_ZERO] * cols for _ in rows]
+        for d, row in zip(data, rows):
+            for j, v in row:
+                d[j] = Fraction(v, den)
+        m = cls._of(tuple(map(tuple, data)))
+        m._ints = (den, rows)
         return m
 
     @classmethod
@@ -199,16 +251,19 @@ class Matrix:
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(self.data[i][j] for i in range(self.rows))
 
+    # int_rows() is canonical (den the lcm of the denominators), so equal
+    # matrices of one shape have equal int rows
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.int_rows() == other.int_rows()
         )
 
     def __hash__(self) -> int:
-        return hash(self.data)
+        den, rows = self.int_rows()
+        return hash((self.cols, den, tuple(map(tuple, rows))))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in row) for row in self.data)
@@ -254,28 +309,34 @@ class Matrix:
             )
         ds, srows = self.int_rows()
         do, orows = other.int_rows()
-        den, out = ds * do, []
+        out = []
         for srow in srows:
             acc = [0] * other.cols
             for k, s in srow:
                 for j, o in orows[k]:
                     acc[j] += s * o
-            out.append(tuple(Fraction(v, den) if v else _ZERO for v in acc))
-        return Matrix._of(tuple(out))
+            out.append([(j, v) for j, v in enumerate(acc) if v])
+        return Matrix.from_ints(other.cols, ds * do, out)
 
     def apply(self, x: Sequence) -> tuple[Fraction, ...]:
-        """M x, summing only over the support of x and the nonzero entries
-        of M; the dropped terms are exact zeros, so the result is the dense
-        sum."""
+        """M x, summed in ints over the nonzeros of M and the support of x;
+        the dropped terms are exact zeros, so the result is the dense sum."""
         if len(x) != self.cols:
             raise DimensionMismatch(f"vector length {len(x)} != {self.cols} columns")
-        support = [(a, v) for a, v in enumerate(vec(x)) if v]
-        return tuple(
-            _fsum([row[a] * v for a, v in support if row[a]]) for row in self.data
-        )
+        den, rows = self.int_rows()
+        dx, support = int_vector(vec(x))
+        xs = dict(support)
+        return tuple(Fraction(sum(v * xs[a] for a, v in row if a in xs), den * dx) for row in rows)
 
     def transpose(self) -> "Matrix":
-        return Matrix._of(tuple(zip(*self.data)))
+        den, rows = self.int_rows()
+        cols: IntRows = [[] for _ in range(self.cols)]
+        for i, row in enumerate(rows):
+            for j, v in row:
+                cols[j].append((i, v))
+        t = Matrix._of(tuple(zip(*self.data)))
+        t._ints = (den, cols)
+        return t
 
     def metric_transpose(self, eta: "Matrix") -> "Matrix":
         """Transpose w.r.t. an invertible symmetric metric: eta^-1 F^T eta."""
@@ -301,47 +362,64 @@ class Matrix:
 
     def int_rows(self) -> tuple[int, IntRows]:
         """(den, the nonzero entries of each row as [(j, den * M[i, j]), ...]),
-        den the lcm of the denominators (1 for the zero matrix)."""
-        return _integer_rows(map(enumerate, self.data))
+        den the lcm of the denominators (1 for the zero matrix).  Built once
+        per matrix and shared by every caller, which only reads it."""
+        try:
+            return self._ints
+        except AttributeError:
+            den, flat = int_vector(v for row in self.data for v in row)
+            rows: IntRows = [[] for _ in self.data]
+            for ij, v in flat:
+                i, j = divmod(ij, self.cols)
+                rows[i].append((j, v))
+            self._ints = den, rows
+            return self._ints
 
     def det(self) -> Fraction:
+        """Bareiss's fraction-free elimination on den * M: each step's
+        division by the previous pivot is exact."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        a = [list(row) for row in self.data]
         n = self.rows
-        det = Fraction(1)
+        den, rows = self.int_rows()
+        a = _dense(rows, n)
+        sign, prev = 1, 1
         for k in range(n):
-            pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
+            pivot = next((i for i in range(k, n) if a[i][k]), None)
             if pivot is None:
-                return Fraction(0)
+                return _ZERO
             if pivot != k:
                 a[k], a[pivot] = a[pivot], a[k]
-                det = -det
-            det *= a[k][k]
-            inv = 1 / a[k][k]
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    f = a[i][k] * inv
-                    for j in range(k, n):
-                        a[i][j] -= f * a[k][j]
-        return det
+                sign = -sign
+            p, top = a[k][k], a[k]
+            for row in a[k + 1:]:
+                f = row[k]
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * p - f * top[j]) // prev
+            prev = p
+        return Fraction(sign * prev, den**n)
 
     def rank(self) -> int:
-        _, pivots = _row_reduce([list(row) for row in self.data])
-        return len(pivots)
+        return len(_eliminate(_dense(self.int_rows()[1], self.cols), self.cols))
 
     def inverse(self) -> "Matrix":
+        """Gauss-Jordan on [den M | 1]: row r ends as p_r e_r | p_r (den M)^-1
+        row r, so M^-1 row r is den / p_r times its augmented part."""
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        aug = [
-            list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i, row in enumerate(self.data)
-        ]
-        reduced, pivots = _row_reduce(aug, stop_col=n)
-        if len(pivots) != n:
+        den, rows = self.int_rows()
+        aug = _dense(rows, 2 * n)
+        for i, row in enumerate(aug):
+            row[n + i] = 1
+        if len(_eliminate(aug, n)) != n:
             raise ZeroDivisionError("matrix is singular")
-        return Matrix._of(tuple(tuple(row[n:]) for row in reduced))
+        lcm = math.lcm(*(row[r] for r, row in enumerate(aug)))
+        out = [
+            [(j, den * (lcm // row[r]) * v) for j, v in enumerate(row[n:]) if v]
+            for r, row in enumerate(aug)
+        ]
+        return Matrix.from_ints(n, lcm, out)
 
 
 _INVERSES = ValueCache()  # metric -> its inverse, for metric_transpose
@@ -374,65 +452,31 @@ def adjugate_cofactor(m: Matrix) -> Matrix:
     )
 
 
-def _row_reduce(rows: list[list[Fraction]], stop_col: int | None = None):
-    """In-place reduced row echelon form; returns (rows, pivot column list).
-
-    Columns >= stop_col ride along (augmented part) and are never pivoted.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    limit = ncols if stop_col is None else stop_col
-    pivots: list[int] = []
-    r = 0
-    for c in range(limit):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w if w else v for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
 def solve(a: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:
     """Exact solution x of a @ x = b, or None if the system is inconsistent.
 
-    For underdetermined systems the free variables are set to zero.
+    For underdetermined systems the free variables are set to zero: x is
+    minus the head of the kernel vector of [a | b] whose last entry is 1,
+    and there is none when b is not in the column space of a.
     """
     if len(b) != a.rows:
         raise DimensionMismatch(f"rhs length {len(b)} != {a.rows} rows")
-    bs = vec(b)
-    aug = [list(row) + [bs[i]] for i, row in enumerate(a.data)]
-    reduced, pivots = _row_reduce(aug, stop_col=a.cols)
-    for i in range(len(pivots), a.rows):
-        if reduced[i][a.cols] != 0:
-            return None
-    x = [Fraction(0)] * a.cols
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][a.cols]
-    return tuple(x)
+    aug = Matrix._of(tuple(row + (v,) for row, v in zip(a.data, vec(b))))
+    last = [v for v in nullspace(aug) if v[-1]]
+    return tuple(-u for u in last[0][:-1]) if last else None
 
 
 def nullspace(a: Matrix) -> list[tuple[Fraction, ...]]:
-    """Exact basis of the kernel of a (list of vectors, possibly empty)."""
-    reduced, pivots = _row_reduce([list(row) for row in a.data])
-    pivot_set = set(pivots)
+    """Exact basis of the kernel of a (list of vectors, possibly empty): one
+    per free column, that column 1 and the other free columns 0."""
+    reduced = _dense(a.int_rows()[1], a.cols)
+    pivots = _eliminate(reduced, a.cols)
     basis = []
-    for free in range(a.cols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * a.cols
+    for free in sorted(set(range(a.cols)) - set(pivots)):
+        v = [_ZERO] * a.cols
         v[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][free]
+        for row, c in zip(reduced, pivots):
+            v[c] = Fraction(-row[free], row[c])
         basis.append(tuple(v))
     return basis
 
@@ -492,13 +536,15 @@ def inertia(m: Matrix) -> tuple[int, int, int]:
 class Tensor3:
     """Immutable cubical rank-3 tensor of exact rationals, indexed t[i,j,k].
 
-    Only the nonzero entries are stored: `table` is the read-only
-    (i, j) -> ((k, t_ijk), ...) map, with the keys and each row's k in index
-    order.  Rows without a nonzero entry are absent.  The integer table is
-    computed on first use and kept.
+    Stored as ints over one denominator: int_table() is (den, ints), with
+    ints the read-only (i, j) -> ((k, n_ijk), ...) map of the nonzero
+    entries t_ijk = n_ijk / den, keys and each row's k in index order.  den
+    is positive and gcd(den, every n_ijk) = 1, so equal tensors have equal
+    storage, which == and hash compare.  `table` is the same map with the
+    Fraction entries; it is built on first use and kept.
     """
 
-    __slots__ = ("dim", "table", "_ints")
+    __slots__ = ("dim", "_ints", "_table")
 
     def __init__(self, data: Iterable[Iterable[Iterable]]):
         cube = [[[rat(v) for v in row] for row in plane] for plane in data]
@@ -508,7 +554,7 @@ class Tensor3:
         ):
             raise DimensionMismatch("tensor is not cubical")
         self.dim = d
-        self.table = Tensor3.build(d, lambda i, j, k: cube[i][j][k]).table
+        self._ints = Tensor3.build(d, lambda i, j, k: cube[i][j][k])._ints
 
     @classmethod
     def zeros(cls, dim: int) -> "Tensor3":
@@ -531,64 +577,63 @@ class Tensor3:
         """The tensor whose (i, j, k) entry is the sum of every v listed as
         (i, j, k, v); entries never listed are zero.
 
-        This is where every table is built: each v is coerced with rat
-        before it is summed, and exact zeros are dropped.
+        Each v is coerced with rat, and the sums are taken in ints over the
+        lcm of the denominators; an index out of range raises IndexError.
         """
-        sums: dict[tuple[int, int, int], Fraction] = {}
-        for i, j, k, v in entries:
-            key = (i, j, k)
-            v = rat(v)
-            sums[key] = sums[key] + v if key in sums else v
-        kept = {}
-        for (i, j, k), v in sums.items():
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-                raise IndexError(f"tensor index {(i, j, k)} out of range for dim {dim}")
-            if v:
-                kept[i, j, k] = v
-        rows: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-        for i, j, k in sorted(kept):
-            rows.setdefault((i, j), []).append((k, kept[i, j, k]))
-        t = object.__new__(cls)
-        t.dim = dim
-        t.table = MappingProxyType({ij: tuple(row) for ij, row in rows.items()})
-        return t
+        listed = [((i, j, k), rat(v).as_integer_ratio()) for i, j, k, v in entries]
+        den = math.lcm(*(q for _, (_, q) in listed))
+        sums: dict[tuple[int, int, int], int] = defaultdict(int)
+        for key, (p, q) in listed:
+            sums[key] += p * (den // q)
+        for key in sums:
+            if not all(0 <= x < dim for x in key):
+                raise IndexError(f"tensor index {key} out of range for dim {dim}")
+        return cls.from_ints(dim, den, sums)
 
     @classmethod
     def from_ints(cls, dim: int, den: int, sums: dict[tuple[int, int, int], int]) -> "Tensor3":
         """The tensor with entry v / den at each (i, j, k) of an int
-        accumulator; a Fraction is built for the nonzero sums only."""
-        return cls.sparse(dim, ((i, j, k, Fraction(v, den)) for (i, j, k), v in sums.items() if v))
+        accumulator (den > 0, indices in range, zero sums allowed): the
+        nonzero sums and den divided by their gcd; no Fraction is built."""
+        g = math.gcd(den, *sums.values())
+        rows: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
+        for (i, j, k), v in sums.items():
+            if v:
+                rows[i, j].append((k, v // g))
+        t = object.__new__(cls)
+        t.dim = dim
+        t._ints = (den // g, MappingProxyType({ij: tuple(sorted(rows[ij])) for ij in sorted(rows)}))
+        return t
 
-    def int_table(self) -> tuple[int, dict[tuple[int, int], list[tuple[int, int]]]]:
-        """(den, table with every t_ijk replaced by the int den * t_ijk), den
-        the lcm of the denominators (1 for the zero tensor).  Built once per
-        tensor and shared by every caller, which only reads it."""
+    def int_table(self) -> tuple[int, Mapping[tuple[int, int], tuple[tuple[int, int], ...]]]:
+        """(den, ints): the stored form, read by every fraction-free kernel."""
+        return self._ints
+
+    @property
+    def table(self) -> Mapping[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
+        """The read-only (i, j) -> ((k, t_ijk), ...) map of the nonzero entries."""
         try:
-            return self._ints
+            return self._table
         except AttributeError:
-            den, rows = _integer_rows(self.table.values())
-            self._ints = (den, dict(zip(self.table, rows)))
-            return self._ints
+            den, ints = self._ints
+            self._table = MappingProxyType({
+                ij: tuple((k, Fraction(v, den)) for k, v in row) for ij, row in ints.items()})
+            return self._table
 
     def __getitem__(self, key) -> Fraction:
         i, j, k = key
         d = self.dim
         if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
             raise IndexError(f"tensor index {key} out of range for dim {d}")
-        for c, v in self.table.get((i, j), ()):
-            if c == k:
-                return v
-        return _ZERO
+        den, ints = self._ints
+        return next((Fraction(v, den) for c, v in ints.get((i, j), ()) if c == k), _ZERO)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tensor3)
-            and self.dim == other.dim
-            and self.table == other.table
-        )
+        return isinstance(other, Tensor3) and self.dim == other.dim and self._ints == other._ints
 
     def __hash__(self) -> int:
-        return hash((self.dim, tuple(self.table.items())))
+        den, ints = self._ints
+        return hash((self.dim, den, tuple(ints.items())))
 
     def __repr__(self) -> str:
         nz = self.nonzero()
@@ -601,24 +646,32 @@ class Tensor3:
         if self.dim != other.dim:
             raise DimensionMismatch(f"tensor dims {self.dim} != {other.dim}")
 
-    def __add__(self, other: "Tensor3") -> "Tensor3":
+    def _plus(self, other: "Tensor3", sign: int) -> "Tensor3":
+        """self + sign * other, in ints over the lcm of the denominators."""
         self._same_dim(other)
-        return Tensor3.sparse(self.dim, self.nonzero() + other.nonzero())
+        (ds, ts), (do, to) = self._ints, other._ints
+        den = math.lcm(ds, do)
+        sums: dict[tuple[int, int, int], int] = defaultdict(int)
+        for table, scale in ((ts, den // ds), (to, sign * (den // do))):
+            for (i, j), row in table.items():
+                for k, v in row:
+                    sums[i, j, k] += scale * v
+        return Tensor3.from_ints(self.dim, den, sums)
+
+    def __add__(self, other: "Tensor3") -> "Tensor3":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Tensor3") -> "Tensor3":
-        self._same_dim(other)
-        return Tensor3.sparse(
-            self.dim, self.nonzero() + [(i, j, k, -v) for i, j, k, v in other.nonzero()]
-        )
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Tensor3":
-        return Tensor3.sparse(self.dim, [(i, j, k, -v) for i, j, k, v in self.nonzero()])
+        return self * -1
 
     def __mul__(self, scalar) -> "Tensor3":
-        c = rat(scalar)
-        return Tensor3.sparse(
-            self.dim, [(i, j, k, c * v) for i, j, k, v in self.nonzero()] if c else ()
-        )
+        p, q = rat(scalar).as_integer_ratio()
+        den, ints = self._ints
+        return Tensor3.from_ints(self.dim, den * q, {
+            (i, j, k): p * v for (i, j), row in ints.items() for k, v in row})
 
     __rmul__ = __mul__
 
@@ -653,7 +706,7 @@ class Tensor3:
         return Tensor3.from_ints(n, dt * da * da * di, final)
 
     def is_zero(self) -> bool:
-        return not self.table
+        return not self._ints[1]
 
     def nonzero(self) -> list[tuple[int, int, int, Fraction]]:
         return [(i, j, k, v) for (i, j), row in self.table.items() for k, v in row]

@@ -53,6 +53,47 @@ def rng_invertible(rng: random.Random, n=3) -> Matrix:
             return m
 
 
+def low_rank(rng, n, r, signs=None) -> Matrix:
+    """C^T diag(signs) C for a random r x n C when signs are given (symmetric,
+    rank at most r), else a random n x r times r x n product."""
+    if r == 0:
+        return Matrix.zeros(n)
+    left = Matrix([[rng_rat(rng) for _ in range(r)] for _ in range(n)])
+    if signs is not None:
+        return left @ Matrix.diagonal(signs) @ left.transpose()
+    return left @ Matrix([[rng_rat(rng) for _ in range(n)] for _ in range(r)])
+
+
+def samples(n, seed):
+    """Full random, rank-deficient, a repeated column and a zero row."""
+    rng = random.Random(f"sympy-{n}-{seed}")
+    full = Matrix([[rng_rat(rng) for _ in range(n)] for _ in range(n)])
+    out = [full, low_rank(rng, n, rng.randrange(n))]
+    if n > 1:
+        rows = [list(row) for row in full.data]
+        j, k = rng.sample(range(n), 2)
+        for row in rows:
+            row[k] = 2 * row[j]
+        out.append(Matrix(rows))
+        rows = [list(row) for row in full.data]
+        rows[rng.randrange(n)] = [0] * n
+        out.append(Matrix(rows))
+    return out
+
+
+def wide_f(rng: random.Random, n: int) -> Matrix:
+    """An n x n F of 3x3 blocks on the diagonal, each entry zero or p / 3^20
+    with p prime to 3 and of 31 to 32 bits, so numerator and denominator keep
+    at least 30 bits, as in the benchmark's conjugated inputs."""
+    def entry(i, j):
+        if i // 3 != j // 3 or rng.random() < 0.3:
+            return 0
+        p = 3 * (rng.getrandbits(30) | (1 << 29)) + 1
+        return Fraction(rng.choice((1, -1)) * p, 3**20)
+
+    return Matrix.build(n, n, entry)
+
+
 # Dense references: direct sums over every index of the formulas the library
 # docstrings state, reading f only by index.  The library iterates the sparse
 # bracket table instead; tests compare the two exactly.
@@ -483,7 +524,7 @@ def loop_omega(alg: LieAlgebra) -> Tensor3:
     if any(a >= n and b >= n for a, b in table):
         raise ValueError("P generators are not abelian")
     entries = []
-    for a, b, c, v in _j_block(alg):
+    for a, b, c, v in _j_block(alg).nonzero():
         entries += ((n + a, n + b, c, v), (n + a, c, n + b, -v), (c, n + a, n + b, v))
     om = Tensor3.sparse(n2, entries)
     # the invariance sums are products of one f and one Omega entry, so
@@ -503,3 +544,108 @@ def loop_omega(alg: LieAlgebra) -> Tensor3:
         if any(acc.values()):
             raise AssertionError(f"invariant element is not ad-invariant under e_{x}")
     return om
+
+
+# Fraction Gauss-Jordan elimination and Gaussian det, as linalg had them
+# before its fraction-free kernel and Bareiss det, kept verbatim (the
+# methods as functions of m).  Tests compare the int kernels with them
+# exactly.
+
+def ref_row_reduce(rows: list[list[Fraction]], stop_col: int | None = None):
+    """In-place reduced row echelon form; returns (rows, pivot column list).
+
+    Columns >= stop_col ride along (augmented part) and are never pivoted.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    limit = ncols if stop_col is None else stop_col
+    pivots: list[int] = []
+    r = 0
+    for c in range(limit):
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [v - f * w if w else v for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def ref_det(m: Matrix) -> Fraction:
+    if m.rows != m.cols:
+        raise DimensionMismatch("determinant of a non-square matrix")
+    a = [list(row) for row in m.data]
+    n = m.rows
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        inv = 1 / a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] * inv
+                for j in range(k, n):
+                    a[i][j] -= f * a[k][j]
+    return det
+
+
+def ref_rank(m: Matrix) -> int:
+    _, pivots = ref_row_reduce([list(row) for row in m.data])
+    return len(pivots)
+
+
+def ref_inverse(m: Matrix) -> Matrix:
+    if m.rows != m.cols:
+        raise DimensionMismatch("inverse of a non-square matrix")
+    n = m.rows
+    aug = [
+        list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+        for i, row in enumerate(m.data)
+    ]
+    reduced, pivots = ref_row_reduce(aug, stop_col=n)
+    if len(pivots) != n:
+        raise ZeroDivisionError("matrix is singular")
+    return Matrix._of(tuple(tuple(row[n:]) for row in reduced))
+
+
+def ref_solve(a: Matrix, b) -> tuple[Fraction, ...] | None:
+    if len(b) != a.rows:
+        raise DimensionMismatch(f"rhs length {len(b)} != {a.rows} rows")
+    bs = vec(b)
+    aug = [list(row) + [bs[i]] for i, row in enumerate(a.data)]
+    reduced, pivots = ref_row_reduce(aug, stop_col=a.cols)
+    for i in range(len(pivots), a.rows):
+        if reduced[i][a.cols] != 0:
+            return None
+    x = [Fraction(0)] * a.cols
+    for r, c in enumerate(pivots):
+        x[c] = reduced[r][a.cols]
+    return tuple(x)
+
+
+def ref_nullspace(a: Matrix) -> list[tuple[Fraction, ...]]:
+    reduced, pivots = ref_row_reduce([list(row) for row in a.data])
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(a.cols):
+        if free in pivot_set:
+            continue
+        v = [Fraction(0)] * a.cols
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][free]
+        basis.append(tuple(v))
+    return basis

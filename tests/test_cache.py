@@ -8,7 +8,7 @@ import pytest
 
 from semidual import bialgebra, lie
 from semidual.bialgebra import cached_omega, cached_semidual_algebra, semidual_algebra
-from semidual.lie import cached_complexify, complexify, make_lie_algebra, so3, so21
+from semidual.lie import LieAlgebra, cached_complexify, complexify, make_lie_algebra, so3, so21
 from semidual.linalg import CACHE_SIZE, Matrix, Tensor3, ValueCache, clear_caches
 from conftest import rng_rat
 
@@ -45,6 +45,18 @@ class TestValueCache:
         assert entries(lie._COMPLEXIFIED) == 1
         assert cached_omega(sd) is cached_omega(semidual_algebra(g2))
         assert entries(bialgebra._OMEGAS) == 1
+
+    def test_mcybe_j_block_is_built_once_per_algebra(self, monkeypatch):
+        sd = cached_semidual_algebra(so21())
+        cached_omega(sd)
+        calls = []
+        real = bialgebra._j_block
+        monkeypatch.setattr(bialgebra, "_j_block", lambda alg: calls.append(alg) or real(alg))
+        r = bialgebra.r_matrix(Matrix.identity(3))
+        for alg in (sd, semidual_algebra(so21())):
+            assert bialgebra.mcybe_check(alg, r, 1).is_zero()
+        assert calls == [sd] and entries(bialgebra._J_BLOCKS) == 1
+        assert list(bialgebra._J_BLOCKS.entries.values()) == [LieAlgebra(3, so21().f)]
 
     def test_lambda_is_part_of_the_key(self):
         g = so21()

@@ -57,6 +57,26 @@ class TestVerify:
         assert code == 2
         assert "1/0" in err
 
+    # "\u0663" and "\uff13" are the Arabic-Indic and fullwidth digit three;
+    # int() reads both, but a rational is written in ASCII digits only
+    @pytest.mark.parametrize("text", ["\u0663", "\uff13", "1/\u0663", "\uff11/2"])
+    def test_non_ascii_digits_in_lambda_exit_two(self, capsys, identity_file, text):
+        code, out, err = run(capsys, [
+            "verify", "--algebra", "so3", "--lambda", text, "--f", identity_file,
+        ])
+        assert code == 2 and out == ""
+        assert "--lambda" in err and text in err
+
+    def test_non_ascii_digits_in_f_and_metric_exit_two(self, capsys, tmp_path, identity_file):
+        f = tmp_path / "fullwidth.json"
+        f.write_text(json.dumps({"matrix": [["1", "0", "0"], ["0", "\uff11", "0"], ["0", "0", "1"]]}))
+        code, _, err = run(capsys, ["verify", "--algebra", "so21", "--lambda", "1", "--f", str(f)])
+        assert code == 2 and "matrix[1][1]" in err
+        g = tmp_path / "arabic_metric.json"
+        g.write_text(json.dumps({"dim": 3, "metric": ["1", "\u0661", "1"], "f": []}))
+        code, _, err = run(capsys, ["verify", "--algebra", str(g), "--lambda", "1", "--f", identity_file])
+        assert code == 2 and ".metric[1]" in err
+
     def test_malformed_f_json(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"matrix": [["1.5"]]}')
@@ -493,7 +513,7 @@ class TestBuildReportRunsEachStageOnce:
         build_report("so21", inst.algebra, inst.F, inst.lam)
         calls = []
         for mod, name in ((bialgebra, "semidual_algebra"), (bialgebra, "omega"),
-                          (lie, "complexify")):
+                          (bialgebra, "_j_block"), (lie, "complexify")):
             monkeypatch.setattr(mod, name, lambda *args, _name=name: calls.append(_name))
         rep = build_report("so21", inst.algebra, inst.F, inst.lam)
         assert rep.passed and rep.classification.label == "VI"

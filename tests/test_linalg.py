@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from semidual.linalg import (
     DimensionMismatch,
     Matrix,
     Tensor3,
+    _eliminate,
     adjugate_cofactor,
     inertia,
     nullspace,
@@ -25,9 +27,16 @@ from conftest import (
     dense_neg,
     dense_scale,
     dense_sub,
+    ref_det,
+    ref_inverse,
+    ref_nullspace,
+    ref_rank,
+    ref_solve,
     rng_invertible,
     rng_matrix,
     rng_rat,
+    samples,
+    wide_f,
 )
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -55,7 +64,8 @@ class TestRationals:
     def test_strict_parsing(self):
         assert rat("-3") == -3
         assert rat("+2/6") == Fraction(1, 3)
-        for bad in ("1.5", "1/0", "a", "1e3", "", "1/2/3"):
+        # Arabic-Indic and fullwidth digits: int() takes them, rat must not
+        for bad in ("1.5", "1/0", "a", "1e3", "", "1/2/3", "\u0663", "\uff11/2", "1/\u0662"):
             with pytest.raises(ValueError):
                 rat(bad)
         with pytest.raises(TypeError):
@@ -170,6 +180,70 @@ class TestSolveNullspace:
 
     def test_nullspace_full_rank(self):
         assert nullspace(Matrix.identity(3)) == []
+
+
+class TestFractionFreeElimination:
+    """det (Bareiss) and inverse, rank, solve and nullspace (fraction-free
+    Gauss-Jordan on int rows) equal the Fraction eliminations kept in
+    conftest exactly, singular and rank-deficient inputs included."""
+
+    def check(self, m: Matrix, rng):
+        assert m.rank() == ref_rank(m)
+        assert nullspace(m) == ref_nullspace(m)
+        x0 = [rng_rat(rng) for _ in range(m.cols)]
+        for b in (m.apply(x0), [rng_rat(rng) for _ in range(m.rows)]):
+            assert solve(m, b) == ref_solve(m, b)
+        if m.rows != m.cols:
+            return
+        assert m.det() == ref_det(m)
+        if ref_det(m):
+            assert m.inverse() == ref_inverse(m)
+            assert m @ m.inverse() == Matrix.identity(m.rows)
+        else:
+            for inverse in (Matrix.inverse, ref_inverse):
+                with pytest.raises(ZeroDivisionError):
+                    inverse(m)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 18])
+    def test_square_samples(self, n):
+        rng = random.Random(f"elimination-{n}")
+        for m in samples(n, 5):
+            self.check(m, rng)
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_basis_change_with_wide_entries(self, n):
+        rng = random.Random(f"elimination-wide-{n}")
+        F = wide_f(rng, n)
+        assert all(t.bit_length() >= 30 for _, _, v in F.nonzero() for t in v.as_integer_ratio())
+        B = basis_change_matrix(F)
+        self.check(B, rng)
+        assert B.det() == 1
+        rows = [list(row) for row in B.data]
+        rows[n - 1] = [2 * v for v in rows[0]]  # rank 2n - 1
+        self.check(Matrix(rows), rng)
+
+    def test_rows_stay_primitive(self):
+        # each updated row is divided by its content, so primitive rows stay
+        # primitive; p row_i - f row_r alone would keep the earlier pivots
+        # as common factors and the ints would grow with every step
+        rng = random.Random(7)
+        for n in (6, 12):
+            rows = [[rng.randint(-9, 9) for _ in range(2 * n)] for _ in range(n)]
+            rows = [[v // math.gcd(*row) for v in row] for row in rows if any(row)]
+            _eliminate(rows, n)
+            assert all(math.gcd(*row) == 1 for row in rows if any(row))
+
+    def test_rectangular_and_inconsistent(self):
+        rng = random.Random(6)
+        wide = Matrix([[rng_rat(rng) for _ in range(7)] for _ in range(4)])
+        tall = Matrix([list(row) + [row[0] - row[1]] for row in wide.transpose().data])
+        for m in (wide, wide.transpose(), tall, Matrix.zeros(3, 5)):
+            self.check(m, rng)
+        # the last row is the sum of the first two, the rhs is not
+        a = Matrix([[1, 2, 0], [0, 1, "1/3"], [1, 3, "1/3"]])
+        for b in ((1, 1, 3), (0, 0, 1)):
+            assert solve(a, b) is None and ref_solve(a, b) is None
+        assert solve(a, (1, 1, 2)) == ref_solve(a, (1, 1, 2)) == (-1, 1, 0)
 
 
 class TestInertia:
@@ -467,6 +541,63 @@ class TestSparseStorage:
         assert dict(t.table) == {(0, 1): ((0, 1),)}
 
 
+def check_canonical(t: Tensor3):
+    """den > 0, gcd(den, every stored int) = 1, den 1 for the zero tensor,
+    and every entry read back is a Fraction."""
+    den, ints = t.int_table()
+    assert den > 0 and math.gcd(den, *(v for row in ints.values() for _, v in row)) == 1
+    assert den == 1 or not t.is_zero()
+    n = range(t.dim)
+    assert all(type(t[i, j, k]) is Fraction for i in n for j in n for k in n)
+    assert all(type(v) is Fraction and t[i, j, k] == v == Fraction(
+        dict(ints[i, j])[k], den) for i, j, k, v in t.nonzero())
+
+
+@st.composite
+def listed_entries(draw):
+    dim = draw(st.integers(1, 3))
+    index = st.integers(0, dim - 1)
+    value = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    return dim, draw(st.lists(st.tuples(index, index, index, value), max_size=10))
+
+
+class TestCanonicalStorage:
+    """Tensor3 keeps ints over one positive denominator prime to all of
+    them, so every construction of one tensor stores the same thing."""
+
+    def test_one_half_three_ways(self):
+        forms = [Tensor3.sparse(2, [(0, 1, 1, v)]) for v in ("1/2", "2/4", Fraction(1, 2))]
+        forms += [Tensor3.from_ints(2, 8, {(0, 1, 1): 4, (1, 1, 1): 0})]
+        for t in forms:
+            assert t.int_table() == (2, {(0, 1): ((1, 1),)})
+            assert t == forms[0] and hash(t) == hash(forms[0])
+            check_canonical(t)
+        assert Tensor3.zeros(3).int_table() == (1, {}) == (forms[0] - forms[1]).int_table()
+
+    @given(listed_entries(), st.integers(1, 6))
+    def test_every_construction_stores_the_same(self, case, k):
+        dim, entries = case
+        t = Tensor3.sparse(dim, entries)
+        den, ints = t.int_table()
+        zero = Tensor3.zeros(dim)
+        forms = [
+            Tensor3.sparse(dim, [(a, b, c, str(v)) for a, b, c, v in entries]),
+            Tensor3.sparse(dim, [(a, b, c, f"{k * v.numerator}/{k * v.denominator}")
+                                 for a, b, c, v in entries]),
+            Tensor3.from_ints(dim, k * den, {
+                (a, b, c): k * v for (a, b), row in ints.items() for c, v in row}),
+            Tensor3.build(dim, lambda a, b, c: t[a, b, c]),
+            t + zero, zero + t, t - zero, -(zero - t), (t + t) * "1/2", t - t + t,
+            (t * k) * Fraction(1, k), Fraction(-1, k) * (k * -t),
+        ]
+        for u in forms:
+            check_canonical(u)
+            assert u == t and hash(u) == hash(t) and u.int_table() == t.int_table()
+        for u in (t - t, 0 * t, zero):
+            check_canonical(u)
+            assert u.int_table() == (1, {}) and u == zero
+
+
 class TestIntegerScaling:
     """The fraction-free kernels scale their inputs once to ints over one
     common denominator and divide only the nonzero sums."""
@@ -482,9 +613,18 @@ class TestIntegerScaling:
         t = Tensor3.sparse(
             2, [(0, 1, 0, "1/6"), (0, 1, 1, "-1/4"), (1, 0, 1, "5/12"), (1, 1, 0, 3)])
         assert t.int_table() == (
-            12, {(0, 1): [(0, 2), (1, -3)], (1, 0): [(1, 5)], (1, 1): [(0, 36)]})
+            12, {(0, 1): ((0, 2), (1, -3)), (1, 0): ((1, 5),), (1, 1): ((0, 36),)})
         M = Matrix([[0, "1/6", "-3/4"], ["2/9", 0, 1]])
         assert M.int_rows() == (36, [[(1, 6), (2, -27)], [(0, 8), (2, 36)]])
+
+    def test_matrix_equality_is_by_value(self):
+        # == and hash compare the canonical int rows: numerators, den and shape
+        one_two = Matrix([[1, 2]])
+        assert one_two != Matrix([["1/3", "2/3"]])
+        for same in (Matrix([["3/3", "4/2"]]), Matrix.from_ints(2, 6, [[(0, 6), (1, 12)]])):
+            assert one_two == same and hash(one_two) == hash(same)
+            assert same.int_rows() == (1, [[(0, 1), (1, 2)]])
+        assert Matrix.zeros(2, 3) != Matrix.zeros(3, 2) and Matrix.zeros(1, 4) != Matrix.zeros(2, 2)
 
     def test_from_ints_equals_public_construction(self):
         rng = random.Random(13)

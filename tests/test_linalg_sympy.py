@@ -1,15 +1,18 @@
 """sympy as an independent oracle for the exact linear-algebra kernels: det,
 rank, inverse, nullspace, solve and inertia on random rational matrices up
-to 8x8, singular and rank-deficient ones included.  sympy is a test-only
-dependency; without it these tests are skipped."""
+to 8x8, singular and rank-deficient ones included, and the fraction-free
+elimination on sizes up to 18 and on basis-change matrices with 30-bit
+entries.  sympy is a test-only dependency; without it these tests are
+skipped."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from semidual.factorize import basis_change_matrix
 from semidual.linalg import Matrix, inertia, nullspace, solve
-from conftest import rng_rat
+from conftest import low_rank, rng_rat, samples, wide_f
 
 sp = pytest.importorskip("sympy")
 
@@ -23,34 +26,6 @@ def to_sympy(m: Matrix):
 def to_fraction(v) -> Fraction:
     v = sp.Rational(v)
     return Fraction(int(v.p), int(v.q))
-
-
-def low_rank(rng, n, r, signs=None) -> Matrix:
-    """C^T diag(signs) C for a random r x n C when signs are given (symmetric,
-    rank at most r), else a random n x r times r x n product."""
-    if r == 0:
-        return Matrix.zeros(n)
-    left = Matrix([[rng_rat(rng) for _ in range(r)] for _ in range(n)])
-    if signs is not None:
-        return left @ Matrix.diagonal(signs) @ left.transpose()
-    return left @ Matrix([[rng_rat(rng) for _ in range(n)] for _ in range(r)])
-
-
-def samples(n, seed):
-    """Full random, rank-deficient, a repeated column and a zero row."""
-    rng = random.Random(f"sympy-{n}-{seed}")
-    full = Matrix([[rng_rat(rng) for _ in range(n)] for _ in range(n)])
-    out = [full, low_rank(rng, n, rng.randrange(n))]
-    if n > 1:
-        rows = [list(row) for row in full.data]
-        j, k = rng.sample(range(n), 2)
-        for row in rows:
-            row[k] = 2 * row[j]
-        out.append(Matrix(rows))
-        rows = [list(row) for row in full.data]
-        rows[rng.randrange(n)] = [0] * n
-        out.append(Matrix(rows))
-    return out
 
 
 def symmetric_samples(n, seed):
@@ -116,3 +91,47 @@ class TestAgainstSympy:
                 minus += mult * factor.count_roots(None, 0)
             assert inertia(s) == (plus, minus, zero)
             assert plus + minus == s.rank()
+
+
+def check_elimination(m: Matrix, rng):
+    """det, inverse (or ZeroDivisionError), nullspace and solve of m, for a
+    consistent and an arbitrary right-hand side, equal sympy's exactly."""
+    n = m.rows
+    ref = to_sympy(m)
+    det = to_fraction(ref.det())
+    assert m.det() == det
+    if det:
+        assert m.inverse() == Matrix([[to_fraction(v) for v in ref.inv().row(i)] for i in range(n)])
+    else:
+        with pytest.raises(ZeroDivisionError):
+            m.inverse()
+    kernel = [tuple(to_fraction(v) for v in vec) for vec in ref.nullspace()]
+    assert nullspace(m) == kernel and m.rank() == n - len(kernel)
+    x0 = [rng_rat(rng) for _ in range(n)]
+    for b in (m.apply(x0), [rng_rat(rng) for _ in range(n)]):
+        try:
+            sol, params = ref.gauss_jordan_solve(to_sympy(Matrix([b])).T)
+        except ValueError:  # sympy: no solution
+            assert solve(m, b) is None
+            continue
+        free = {t: 0 for t in params}
+        assert solve(m, b) == tuple(to_fraction(v.subs(free)) for v in sol)
+
+
+@pytest.mark.parametrize("n", (12, 18))
+def test_large_against_sympy(n):
+    rng = random.Random(f"sympy-large-{n}")
+    for m in samples(n, 4):
+        check_elimination(m, rng)
+
+
+@pytest.mark.parametrize("n", (3, 6, 9))
+def test_wide_basis_change_against_sympy(n):
+    rng = random.Random(f"sympy-wide-{n}")
+    F = wide_f(rng, n)
+    B = basis_change_matrix(F)
+    check_elimination(B, rng)
+    # rank-deficient, with the same 30-bit entries: the last J row repeats the first
+    rows = [list(row) for row in B.data]
+    rows[n - 1] = rows[0]
+    check_elimination(Matrix(rows), rng)

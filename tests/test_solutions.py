@@ -8,7 +8,7 @@ from semidual.factorize import (
     verify_closure_in_complexification,
 )
 from semidual.lie import complexify, outer
-from semidual.linalg import Matrix, _row_reduce, solve
+from semidual.linalg import Matrix, solve
 from semidual.solutions import (
     NULL_N,
     NULL_NTILDE,
@@ -29,7 +29,7 @@ from semidual.solutions import (
     standard_sweep,
     zero_solution,
 )
-from conftest import classify_factor
+from conftest import classify_factor, ref_row_reduce
 
 
 def basis(a, n=3):
@@ -180,7 +180,7 @@ def derived_action(m_alg):
         for j in range(i + 1, 3)
     ]
     rows = [b for b in brackets if any(v != 0 for v in b)]
-    reduced, pivots = _row_reduce(rows)
+    reduced, pivots = ref_row_reduce(rows)
     ideal = [tuple(reduced[r]) for r in range(len(pivots))]
     assert len(ideal) == 2, "derived subalgebra is not two-dimensional"
     comp = next(i for i in range(3) if i not in pivots)
